@@ -266,6 +266,12 @@ func BenchmarkTheorem1ScanQuotient(b *testing.B) {
 	benchTheorem1Slice(b, core.EnumConfig{Quotient: q})
 }
 
+// benchTheorem1Slice scans 50,000-profile slices of the pinned gadget
+// space, each resumed from a checkpoint at one of 8 evenly spaced odometer
+// indices, so the slices sample the whole space rather than its start
+// (where almost every state is canonical and the quotient skips little).
+// The gadget has no equilibrium, so a checkpoint is just a cursor and the
+// count of profiles before it.
 func benchTheorem1Slice(b *testing.B, cfg core.EnumConfig) {
 	b.Helper()
 	const sliceProfiles = 50000
@@ -274,18 +280,29 @@ func benchTheorem1Slice(b *testing.B, cfg core.EnumConfig) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	starts := make([]*core.EnumCheckpoint, 8)
+	for k := range starts {
+		at := ss.Size() / uint64(len(starts)) * uint64(k)
+		cp := &core.EnumCheckpoint{Cursor: make([]int, len(ss.PerNode)), Checked: at}
+		for u := len(ss.PerNode) - 1; u >= 0; u-- {
+			r := uint64(len(ss.PerNode[u]))
+			cp.Cursor[u], at = int(at%r), at/r
+		}
+		starts[k] = cp
+	}
 	reg := benchRegistry(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := cfg
-		cfg.MaxProfiles = sliceProfiles
+		cfg.Resume = starts[i%len(starts)]
+		cfg.MaxProfiles = cfg.Resume.Checked + sliceProfiles
 		res, err := core.EnumeratePureNEOpts(d, core.SumDistances, ss, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Checked != sliceProfiles || len(res.Equilibria) != 0 {
-			b.Fatalf("scan slice: checked %d profiles, %d equilibria", res.Checked, len(res.Equilibria))
+		if res.Checked != cfg.MaxProfiles || len(res.Equilibria) != 0 {
+			b.Fatalf("scan slice from %d: checked %d profiles, %d equilibria", cfg.Resume.Checked, res.Checked, len(res.Equilibria))
 		}
 	}
 	b.ReportMetric(float64(sliceProfiles)*float64(b.N)/b.Elapsed().Seconds(), "profiles/sec")

@@ -105,6 +105,11 @@ func run(args []string, stderr *os.File) int {
 		return runctl.ExitError
 	}
 
+	// Take over SIGINT/SIGTERM before announcing the port: a signal that
+	// arrives as soon as a client can connect must drain, not kill.
+	ctx, signalled, stopSignals := runctl.SignalContext(context.Background())
+	defer stopSignals()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "bbcserved: %v\n", err)
@@ -118,9 +123,6 @@ func run(args []string, stderr *os.File) int {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	ctx, signalled, stopSignals := runctl.SignalContext(context.Background())
-	defer stopSignals()
 
 	code := runctl.ExitOK
 	select {

@@ -29,9 +29,9 @@
 // <path>.corrupt and the previous generation is used automatically;
 // only when no generation is loadable does the run fail (exit 4). A
 // resumed enumeration checks exactly the profiles the uninterrupted run
-// would have and returns identical equilibria in identical order. With
-// -parallel 1 the scan is serial and checkpoints at profile
-// granularity; otherwise it checkpoints per completed partition.
+// would have and returns identical equilibria in identical order. Serial
+// (-parallel 1) and parallel scans write the same checkpoint shape, so
+// either resumes the other's snapshot.
 //
 // Output contract: stdout carries only the final run result — the text
 // summary, or a single JSON object with -json — so it stays

@@ -106,21 +106,17 @@ func NewOracle(spec Spec, g *graph.Digraph, u int, agg Aggregation) *Oracle {
 // build (re)initializes the oracle in place, reusing every buffer whose
 // capacity suffices. gs and dist are the traversal scratch and an n-length
 // distance buffer; EvalScratch shares one pair across all of its oracles.
-// bs and bdist, when both non-nil, enable the bit-parallel traversal path
-// on uniform-length specs: sources are chunked into batches of up to
-// graph.BatchWidth and each batch costs one level-synchronized
-// BFSBatchInto instead of one BFSInto per source. bdist must hold
-// min(BatchWidth, n−1) × n entries.
-//
-// rev, when non-nil alongside bs on a uniform-length spec, must be the
-// exact arc-reversal of g (EvalScratch maintains one incrementally): the
-// rebuild then traverses column-wise — one reverse BFS per *support* node
-// v yields d_{G−u}(t, v) for every candidate t at once, because a t→v
-// path in G−u is a v→t path in rev−u. Support sets are typically far
-// smaller than candidate sets (only positive-weight targets are
-// materialized), so the reverse path runs |support| traversals instead of
-// n−1. Non-unit specs, nil bs and nil rev fall back to the scalar forward
-// path, which is bit-for-bit equivalent (every path fills the same arena
+// bs, bdist and rev, all non-nil on a uniform-length spec, enable the
+// bit-parallel path: rev must be the exact arc-reversal of g (EvalScratch
+// maintains one incrementally) and bdist must hold min(BatchWidth, n−1) ×
+// n entries. The rebuild then traverses column-wise — one reverse BFS per
+// *support* node v yields d_{G−u}(t, v) for every candidate t at once,
+// because a t→v path in G−u is a v→t path in rev−u — with the support
+// nodes chunked into batches of up to graph.BatchWidth, each costing one
+// level-synchronized BFSBatchInto. Support sets are typically far smaller
+// than candidate sets (only positive-weight targets are materialized).
+// Otherwise the rebuild runs the scalar forward path, one traversal per
+// candidate, which is bit-for-bit equivalent (both fill the same arena
 // cells from the same hop counts).
 func (o *Oracle) build(spec Spec, g *graph.Digraph, u int, agg Aggregation, gs *graph.Scratch, bs *graph.BitScratch, dist []int64, bdist []int64, rev *graph.Digraph) {
 	n := spec.N()
@@ -202,24 +198,6 @@ func (o *Oracle) build(spec Spec, g *graph.Digraph, u int, agg Aggregation, gs *
 						row[j] = infDist
 					} else {
 						row[j] = off + d
-					}
-				}
-			}
-		}
-	case unit && bs != nil && len(bdist) >= min(graph.BatchWidth, C)*n && C > 1:
-		for lo := 0; lo < C; lo += graph.BatchWidth {
-			hi := min(lo+graph.BatchWidth, C)
-			m := hi - lo
-			g.BFSBatchInto(bdist[:m*n], o.cands[lo:hi], opt, bs)
-			for ci := 0; ci < m; ci++ {
-				offset := o.offs[lo+ci]
-				d := bdist[ci*n : (ci+1)*n]
-				row := o.arena[(lo+ci)*S : (lo+ci+1)*S]
-				for j, v := range o.support {
-					if dv := d[v]; dv == graph.Unreachable {
-						row[j] = infDist
-					} else {
-						row[j] = offset + dv
 					}
 				}
 			}

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
-	"sync/atomic"
-	"time"
 
 	"bbc/internal/graph"
 	"bbc/internal/obs"
@@ -109,29 +106,16 @@ type SearchSpace struct {
 }
 
 // Size returns the number of profiles in the product space, saturating at
-// 2^63-1.
-func (ss *SearchSpace) Size() uint64 {
-	size := uint64(1)
-	const cap64 = uint64(1) << 63
-	for _, set := range ss.PerNode {
-		if uint64(len(set)) == 0 {
-			return 0
-		}
-		if size > cap64/uint64(len(set)) {
-			return cap64
-		}
-		size *= uint64(len(set))
-	}
-	return size
-}
+// 2^63.
+func (ss *SearchSpace) Size() uint64 { return newOdometer(ss).size() }
 
 // Pivot returns the index of the first node with more than one strategy
-// — the axis the parallel enumerator (and the distributed fleet) splits
-// the odometer space along — or -1 when every set is a singleton and the
-// space holds exactly one profile. Splitting on the pivot keeps the
-// serial odometer order: partition i in full is scanned before any
-// profile of partition i+1, so concatenating partition (or shard)
-// results in index order reproduces the unsplit scan byte for byte.
+// — the axis the distributed fleet splits the odometer space along into
+// shards — or -1 when every set is a singleton and the space holds
+// exactly one profile. Splitting on the pivot keeps the serial odometer
+// order: shard i in full precedes every profile of shard i+1, so
+// concatenating shard results in index order reproduces the unsplit scan
+// byte for byte.
 func (ss *SearchSpace) Pivot() int {
 	for u, set := range ss.PerNode {
 		if len(set) > 1 {
@@ -219,73 +203,96 @@ type NEResult struct {
 	Resume *EnumCheckpoint
 }
 
-// EnumCheckpoint is the serialized progress of an enumeration scan: the
-// serial scan stores the odometer cursor of the next unchecked profile,
-// the parallel scan stores per-partition completed results. Wrap it in a
-// runctl.Checkpoint envelope (kind "enumeration") to persist it.
+// EnumCheckpoint is the serialized progress of an enumeration scan,
+// serial or parallel: both entry points read and write this one shape, so
+// a scan may be resumed by either. Wrap it in a runctl.Checkpoint
+// envelope (kind "enumeration") to persist it.
 type EnumCheckpoint struct {
-	// Cursor holds the per-node strategy indices of the next profile a
-	// serial scan will check. Nil for parallel checkpoints.
-	Cursor []int `json:"cursor,omitempty"`
-	// Checked is the number of profiles already checked.
+	// Cursor holds the per-node strategy indices (odometer digits) of the
+	// first unchecked profile: every profile before it is checked.
+	Cursor []int `json:"cursor"`
+	// Checked is the number of profiles already checked: the cursor's
+	// odometer index plus the lengths of the Done runs.
 	Checked uint64 `json:"checked"`
-	// Equilibria are the equilibria found so far, in odometer order
-	// (serial scans only; parallel scans keep them per partition).
+	// Done lists the runs past the cursor that are already checked, as
+	// ascending, disjoint, non-adjacent half-open [lo, hi) odometer
+	// indices (profile i has digit u = i / Π_{v>u}|S_v| mod |S_u|). Only a
+	// parallel scan, whose ranges finish out of order, leaves any.
+	Done [][2]uint64 `json:"done,omitempty"`
+	// Equilibria are the equilibria at checked profiles, in odometer
+	// order.
 	Equilibria []Profile `json:"equilibria,omitempty"`
-	// Parts records, for a parallel scan, each fully-scanned partition's
-	// result; a nil entry is a partition still to do. Nil for serial
-	// checkpoints.
-	Parts []*PartProgress `json:"parts,omitempty"`
-	// Pending holds, for a quotiented serial scan, the cursor-order index
-	// vectors (strictly ascending, all at or past Cursor) of equilibria
-	// already known by orbit expansion but not yet reached by the cursor.
-	// Resuming replays them so the emitted equilibria match the
-	// unquotiented scan byte for byte. Empty for plain scans — every orbit
-	// is the trivial one — and for parallel checkpoints, which only record
-	// completed partitions (a finished partition has drained its pending
-	// list by construction).
+	// Pending holds, for a quotiented scan, the odometer digits (strictly
+	// ascending, all unchecked and past the cursor) of equilibria already
+	// known by orbit expansion. Resuming replays them so the emitted
+	// equilibria match the unquotiented scan byte for byte. Empty for
+	// plain scans, where every orbit is the trivial one.
 	Pending [][]int `json:"pending,omitempty"`
 }
 
-// PartProgress is one completed partition of a parallel scan.
-type PartProgress struct {
-	Checked    uint64    `json:"checked"`
-	Equilibria []Profile `json:"equilibria,omitempty"`
-}
-
-// validate sanity-checks the checkpoint's carried results against the
-// spec. Envelope checksums catch accidental corruption, but a resumed
-// payload still crosses a trust boundary (hand-edited files, schema
-// drift); a checkpoint that passes here can be replayed into a result
-// without further checking.
-func (cp *EnumCheckpoint) validate(spec Spec) error {
-	if err := validateCarried(spec, cp.Equilibria, cp.Checked); err != nil {
-		return err
-	}
-	for i, part := range cp.Parts {
-		if part == nil {
-			continue
+// validate checks a checkpoint against the spec and search space it
+// resumes and decodes it into a scan ledger. Envelope checksums catch
+// accidental corruption, but a resumed payload still crosses a trust
+// boundary (hand-edited files, schema drift); a checkpoint that passes
+// here can be replayed into a result without further checking.
+func (cp *EnumCheckpoint) validate(spec Spec, ss *SearchSpace) (*ledger, error) {
+	od := newOdometer(ss)
+	index := func(what string, v []int) (uint64, error) {
+		if len(v) != len(od.sets) {
+			return 0, fmt.Errorf("core: checkpoint %s covers %d nodes, search space has %d", what, len(v), len(od.sets))
 		}
-		if err := validateCarried(spec, part.Equilibria, part.Checked); err != nil {
-			return fmt.Errorf("core: checkpoint partition %d: %w", i, err)
+		for u, i := range v {
+			if i < 0 || i >= len(od.sets[u]) {
+				return 0, fmt.Errorf("core: checkpoint %s[%d]=%d out of range [0,%d)", what, u, i, len(od.sets[u]))
+			}
 		}
+		return od.index(v), nil
 	}
-	return nil
-}
-
-// validateCarried checks one carried result set: every equilibrium must
-// be a feasible profile for the spec, and the checked count must cover
-// at least the equilibria it claims to contain.
-func validateCarried(spec Spec, eqs []Profile, checked uint64) error {
-	if uint64(len(eqs)) > checked {
-		return fmt.Errorf("core: checkpoint claims %d equilibria in only %d checked profiles", len(eqs), checked)
+	cur, err := index("cursor", cp.Cursor)
+	if err != nil {
+		return nil, err
 	}
-	for i, eq := range eqs {
+	l := &ledger{}
+	if cur > 0 {
+		l.done = []span{{0, cur}}
+	}
+	last := cur
+	for k, d := range cp.Done {
+		if d[0] <= last || d[1] <= d[0] || d[1] > od.size() {
+			return nil, fmt.Errorf("core: checkpoint done run %d [%d,%d) is not an ascending, disjoint run past the cursor within %d profiles", k, d[0], d[1], od.size())
+		}
+		l.done = append(l.done, span{d[0], d[1]})
+		last = d[1]
+	}
+	if covered := l.checked(); cp.Checked != covered {
+		return nil, fmt.Errorf("core: checkpoint claims %d checked profiles, its cursor and done runs cover %d", cp.Checked, covered)
+	}
+	var pending []hit
+	for k, v := range cp.Pending {
+		at, err := index(fmt.Sprintf("pending[%d]", k), v)
+		if err != nil {
+			return nil, err
+		}
+		if k > 0 && at <= pending[k-1].at {
+			return nil, fmt.Errorf("core: checkpoint pending entries not strictly ascending at %d", k)
+		}
+		if l.covers(at) {
+			return nil, fmt.Errorf("core: checkpoint pending[%d] lies among the checked profiles", k)
+		}
+		pending = append(pending, hit{at, od.profile(at)})
+	}
+	for k, eq := range cp.Equilibria {
 		if err := eq.Validate(spec); err != nil {
-			return fmt.Errorf("core: checkpoint equilibrium %d is not a feasible profile: %w", i, err)
+			return nil, fmt.Errorf("core: checkpoint equilibrium %d is not a feasible profile: %w", k, err)
 		}
+		at, ok := od.locate(eq)
+		if !ok || !l.covers(at) || k > 0 && at <= l.known[k-1].at {
+			return nil, fmt.Errorf("core: checkpoint equilibrium %d is not a checked profile of the search space in odometer order", k)
+		}
+		l.known = append(l.known, hit{at, eq})
 	}
-	return nil
+	l.merge(pending)
+	return l, nil
 }
 
 // EnumFingerprint identifies a scan configuration for checkpoint
@@ -324,18 +331,18 @@ type EnumConfig struct {
 	MaxProfiles uint64
 	// CheckEvery is the context-poll period in profiles (0 = runctl.CheckEvery).
 	CheckEvery uint64
-	// CheckpointEvery is the period, in profiles checked this run, at
-	// which OnCheckpoint fires (0 = every 1<<20 profiles).
+	// CheckpointEvery is the period, in profiles a worker checks this run,
+	// at which OnCheckpoint fires (0 = every 1<<20 profiles).
 	CheckpointEvery uint64
-	// OnCheckpoint, when non-nil, receives periodic progress snapshots
-	// (serial: every CheckpointEvery profiles; parallel: after each
-	// completed partition). The callback must not mutate the snapshot.
+	// OnCheckpoint, when non-nil, receives a snapshot of the whole scan's
+	// progress every CheckpointEvery profiles each worker checks, one call
+	// at a time. The callback must not mutate the snapshot.
 	OnCheckpoint func(*EnumCheckpoint)
 	// Resume continues a previous scan from its checkpoint instead of
 	// starting at the first profile.
 	Resume *EnumCheckpoint
 	// Workers bounds parallel-scan concurrency (0 = NumCPU); ignored by
-	// the serial scan.
+	// EnumeratePureNEOpts.
 	Workers int
 	// Quotient, when non-nil, must be compiled (NewQuotient) against this
 	// scan's spec and search space: the scan then evaluates stability only
@@ -343,7 +350,8 @@ type EnumConfig struct {
 	// re-expanding stable representatives into their full orbits at the
 	// moment the cursor reaches each member — so a completed quotiented
 	// scan returns equilibria, counts and ordering byte-identical to the
-	// plain scan at a fraction of the evaluations. Checkpoints from
+	// plain scan at a fraction of the evaluations, serial or parallel.
+	// Checkpoints from
 	// quotiented and plain scans are mutually incompatible (resume both
 	// sides of a split under the same Quotient; see QualifyFingerprint).
 	Quotient *Quotient
@@ -352,17 +360,9 @@ type EnumConfig struct {
 	// EvalScratch.SetBatchBFS). Results are identical either way.
 	DisableBatchBFS bool
 
-	// qview is the partition-bound quotient view handed to a parallel
-	// worker's sub-scan; it takes precedence over Quotient.
-	qview *quotientView
-	// budget, when non-nil, is the shared cross-partition profile budget
-	// of a parallel scan and takes precedence over MaxProfiles.
+	// budget, when non-nil, replaces the MaxProfiles allowance (tests
+	// observe it).
 	budget *profileBudget
-	// scratch, when non-nil, is the caller-owned evaluation scratch the
-	// scan binds to its realized graph; parallel workers pass one per
-	// goroutine so oracle caches and traversal buffers persist across the
-	// partitions a worker drains.
-	scratch *EvalScratch
 }
 
 func (c EnumConfig) checkpointEvery() uint64 {
@@ -371,29 +371,6 @@ func (c EnumConfig) checkpointEvery() uint64 {
 	}
 	return 1 << 20
 }
-
-// profileBudget is a race-safe profile allowance shared by concurrent
-// partition scans.
-type profileBudget struct{ remaining atomic.Int64 }
-
-// newProfileBudget grants max profiles minus the already-spent credit.
-func newProfileBudget(max, spent uint64) *profileBudget {
-	b := &profileBudget{}
-	rem := int64(max) - int64(spent)
-	if rem < 0 {
-		rem = 0
-	}
-	b.remaining.Store(rem)
-	return b
-}
-
-// take debits one profile; false means the budget is exhausted.
-func (b *profileBudget) take() bool { return b.remaining.Add(-1) >= 0 }
-
-// exhausted reports whether the budget has no profiles left, without
-// debiting anything: probes (post-merge status classification) must not
-// consume allowance a concurrent or later scan could still use.
-func (b *profileBudget) exhausted() bool { return b.remaining.Load() <= 0 }
 
 // EnumeratePureNE scans the product space and returns all pure Nash
 // equilibria it contains (up to maxEquilibria; 0 means collect all). The
@@ -409,379 +386,46 @@ func EnumeratePureNE(spec Spec, agg Aggregation, ss *SearchSpace, maxEquilibria 
 // MaxProfiles budget, periodically reports resumable checkpoints, and can
 // itself resume from one. An interrupted-then-resumed scan checks exactly
 // the profiles the uninterrupted scan would have and returns identical
-// equilibria in identical order.
+// equilibria in identical order. It runs on the calling goroutine and
+// ignores cfg.Workers.
 func EnumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumConfig) (*NEResult, error) {
 	sp := obs.Trace().StartSpan("enum.scan")
-	res, err := enumeratePureNEOpts(spec, agg, ss, cfg)
-	if res != nil {
-		sp.EndInt("checked", int64(res.Checked))
-	} else {
+	s, err := newScan(spec, agg, ss, cfg)
+	if err != nil {
 		sp.End()
+		return nil, err
 	}
-	return res, err
+	s.runSerial()
+	res := s.result()
+	sp.EndInt("checked", int64(res.Checked))
+	return res, nil
 }
 
-// evalSampleMask samples 1 in 64 profile-stability checks into the
-// HProfileEval latency histogram: two extra clock reads against a
-// ~500ns check would be measurable at every profile, negligible at 1/64.
-const evalSampleMask = 63
-
-func enumeratePureNEOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumConfig) (*NEResult, error) {
-	n := spec.N()
-	if len(ss.PerNode) != n {
-		return nil, fmt.Errorf("core: search space covers %d nodes, spec has %d", len(ss.PerNode), n)
-	}
-	for u, set := range ss.PerNode {
-		if len(set) == 0 {
-			return nil, fmt.Errorf("core: node %d has an empty strategy set", u)
-		}
-	}
-	res := &NEResult{Complete: true}
-	idx := make([]int, n)
-	var pending [][]int
-	if cfg.Resume != nil {
-		if cfg.Resume.Parts != nil {
-			return nil, fmt.Errorf("core: checkpoint is from a parallel scan; resume with EnumeratePureNEParallelOpts")
-		}
-		if len(cfg.Resume.Cursor) != n {
-			return nil, fmt.Errorf("core: checkpoint cursor covers %d nodes, search space has %d", len(cfg.Resume.Cursor), n)
-		}
-		for u, i := range cfg.Resume.Cursor {
-			if i < 0 || i >= len(ss.PerNode[u]) {
-				return nil, fmt.Errorf("core: checkpoint cursor[%d]=%d out of range [0,%d)", u, i, len(ss.PerNode[u]))
-			}
-		}
-		if err := cfg.Resume.validate(spec); err != nil {
-			return nil, err
-		}
-		copy(idx, cfg.Resume.Cursor)
-		for k, pv := range cfg.Resume.Pending {
-			if len(pv) != n {
-				return nil, fmt.Errorf("core: checkpoint pending[%d] covers %d nodes, search space has %d", k, len(pv), n)
-			}
-			for u, i := range pv {
-				if i < 0 || i >= len(ss.PerNode[u]) {
-					return nil, fmt.Errorf("core: checkpoint pending[%d][%d]=%d out of range [0,%d)", k, u, i, len(ss.PerNode[u]))
-				}
-			}
-			if k > 0 && !lexLessInts(cfg.Resume.Pending[k-1], pv) {
-				return nil, fmt.Errorf("core: checkpoint pending entries not strictly ascending at %d", k)
-			}
-			if lexLessInts(pv, idx) {
-				return nil, fmt.Errorf("core: checkpoint pending[%d] lies before the cursor", k)
-			}
-			pending = append(pending, append([]int(nil), pv...))
-		}
-		res.Checked = cfg.Resume.Checked
-		res.Equilibria = append([]Profile(nil), cfg.Resume.Equilibria...)
-	}
-	qv := cfg.qview
-	if qv == nil && cfg.Quotient != nil {
-		var err error
-		if qv, err = cfg.Quotient.ViewFor(ss, -1, 0); err != nil {
-			return nil, err
-		}
-	}
-	p := make(Profile, n)
-	for u := range p {
-		p[u] = ss.PerNode[u][idx[u]]
-	}
-	g := p.Realize(spec)
-	es := cfg.scratch
-	if es == nil {
-		es = NewEvalScratch()
-	}
-	if cfg.DisableBatchBFS {
-		es.SetBatchBFS(false)
-	}
-	// The realized graph is a fresh pointer, so Bind always invalidates a
-	// reused scratch's oracle cache here while keeping its buffers warm.
-	es.Bind(spec, g, agg)
-
-	// Check nodes with larger strategy sets first: they are the ones whose
-	// current strategy is least likely to be a best response, so the
-	// early-exit in profileStable fires sooner. (Pure reordering — the
-	// stability verdict is order-independent.)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(ss.PerNode[order[a]]) > len(ss.PerNode[order[b]])
-	})
-
-	budget := cfg.budget
-	if budget == nil && cfg.MaxProfiles > 0 {
-		budget = newProfileBudget(cfg.MaxProfiles, res.Checked)
-	}
-	poll := runctl.NewPoller(cfg.Ctx, cfg.CheckEvery)
-	ckptEvery := cfg.checkpointEvery()
-
-	// advance steps the odometer to the next state, recording which digits
-	// changed without touching the graph; true means the space wrapped
-	// around (done). Rewires are deferred into the dirty list and applied
-	// only when a state is actually evaluated (applyRewires), so runs of
-	// skipped states — non-canonical orbit members under a quotient, or
-	// pending emissions — cost pure odometer arithmetic. Carrying through a
-	// singleton digit wraps it back to its only value, a no-op that is
-	// never marked dirty. lastChanged is the node rewired by the last
-	// applyRewires when exactly one digit changed since the previous
-	// evaluation (-1 at the start, after a resume, or after a multi-digit
-	// carry): the one node whose cached oracle survived the rewire.
-	lastChanged := -1
-	dirty := make([]int, 0, n)
-	markDirty := func(u int) {
-		for _, d := range dirty {
-			if d == u {
-				return
-			}
-		}
-		dirty = append(dirty, u)
-	}
-	advance := func() bool {
-		for u := n - 1; u >= 0; u-- {
-			idx[u]++
-			if idx[u] < len(ss.PerNode[u]) {
-				markDirty(u)
-				return false
-			}
-			idx[u] = 0
-			if len(ss.PerNode[u]) > 1 {
-				markDirty(u)
-			}
-		}
-		return true
-	}
-	applyRewires := func() {
-		if len(dirty) == 1 {
-			lastChanged = dirty[0]
-		} else if len(dirty) > 1 {
-			lastChanged = -1
-		}
-		for _, u := range dirty {
-			p[u] = ss.PerNode[u][idx[u]]
-			setStrategyArcs(spec, g, u, p[u])
-			es.NoteRewire(u)
-		}
-		dirty = dirty[:0]
-	}
-	// Bulk suffix-block skipping: refuteLevel certifies that every state
-	// sharing digits 0..level with a non-canonical state is refuted by the
-	// same group element, so the scan can credit the whole block in one
-	// arithmetic step instead of walking it. Enabled only for a serial scan
-	// of the full compiled space (partition-local views read the pivot
-	// digit outside the certificate) with no profile budget (a bulk credit
-	// must not overdraw MaxProfiles mid-block) and with suffix products
-	// that fit comfortably in uint64. suffSize[u] is the number of states
-	// of the odometer suffix starting at level u.
-	var suffSize []uint64
-	var jbuf []int
-	if qv != nil && qv.pivot < 0 && budget == nil {
-		suffSize = make([]uint64, n+1)
-		suffSize[n] = 1
-		for u := n - 1; u >= 0; u-- {
-			w := uint64(len(ss.PerNode[u]))
-			if suffSize[u+1] > (uint64(1)<<62)/w {
-				suffSize = nil
-				break
-			}
-			suffSize[u] = suffSize[u+1] * w
-		}
-		if suffSize != nil {
-			jbuf = make([]int, n)
-		}
-	}
-	skipLevel := -1
-	// canonicalAt is the scan's canonicality test; under bulk skipping it
-	// also leaves the refutation's block level in skipLevel.
-	canonicalAt := func() bool {
-		if suffSize == nil {
-			return qv.canonical(idx)
-		}
-		ok, lvl := qv.refuteLevel(idx)
-		skipLevel = lvl
-		return ok
-	}
-	// bulkSkip credits and jumps over the rest of the suffix block sharing
-	// digits 0..L with idx. extra is the number of states strictly between
-	// idx and the new cursor; done means the block ran to the end of the
-	// space; jumped means idx was repositioned (the caller skips its own
-	// advance). A pending emission inside the block clamps the jump to it.
-	bulkSkip := func(L int) (extra uint64, done, jumped bool) {
-		var rest uint64
-		for l := L + 1; l < n; l++ {
-			rest += uint64(len(ss.PerNode[l])-1-idx[l]) * suffSize[l+1]
-		}
-		if rest == 0 {
-			return 0, false, false
-		}
-		copy(jbuf, idx)
-		for l := L + 1; l < n; l++ {
-			jbuf[l] = 0
-		}
-		wrapped := false
-		for l := L; ; l-- {
-			if l < 0 {
-				wrapped = true
-				break
-			}
-			jbuf[l]++
-			if jbuf[l] < len(ss.PerNode[l]) {
-				break
-			}
-			jbuf[l] = 0
-		}
-		if len(pending) > 0 && (wrapped || lexLessInts(pending[0], jbuf)) {
-			copy(jbuf, pending[0])
-			wrapped = false
-		}
-		if wrapped {
-			return rest, true, false
-		}
-		var d int64
-		for l := 0; l < n; l++ {
-			d += int64(jbuf[l]-idx[l]) * int64(suffSize[l+1])
-		}
-		for l := 0; l < n; l++ {
-			if jbuf[l] != idx[l] {
-				idx[l] = jbuf[l]
-				markDirty(l)
-			}
-		}
-		return uint64(d - 1), false, true
-	}
-	// insertPending merges orbit index vectors (ascending, deduplicated,
-	// all past the cursor) into the pending list, keeping it sorted.
-	insertPending := func(vecs [][]int) {
-		for _, v := range vecs {
-			at := sort.Search(len(pending), func(i int) bool { return !lexLessInts(pending[i], v) })
-			if at < len(pending) && intsEqual(pending[at], v) {
-				continue
-			}
-			pending = append(pending, nil)
-			copy(pending[at+1:], pending[at:])
-			pending[at] = v
-		}
-	}
-	// snapshot captures the resume state with the cursor at the next
-	// unchecked profile.
-	snapshot := func() *EnumCheckpoint {
-		cp := &EnumCheckpoint{
-			Cursor:     append([]int(nil), idx...),
-			Checked:    res.Checked,
-			Equilibria: append([]Profile(nil), res.Equilibria...),
-		}
-		for _, v := range pending {
-			cp.Pending = append(cp.Pending, append([]int(nil), v...))
-		}
-		return cp
-	}
-	// stop finalizes an early exit: the partial result is returned with a
-	// nil error, carrying the reason and the resume state.
-	stop := func(st runctl.Status) (*NEResult, error) {
-		res.Complete = false
-		res.Status = st
-		res.Resume = snapshot()
-		return res, nil
-	}
-
-	reg := obs.Global()
-	var sinceCkpt uint64
-	// capReturn finalizes a MaxEquilibria stop; the cursor advances past
-	// the emitting state first so a resume does not re-emit it.
-	capReturn := func() (*NEResult, error) {
-		res.Complete = false
-		res.Status = runctl.StatusBudget
-		if !advance() {
-			res.Resume = snapshot()
-		}
-		return res, nil
-	}
-	for {
-		if err := poll.Check(); err != nil {
-			return stop(runctl.StatusFromError(err))
-		}
-		if budget != nil && !budget.take() {
-			return stop(runctl.StatusBudget)
-		}
-		if cfg.OnCheckpoint != nil && sinceCkpt >= ckptEvery {
-			sinceCkpt = 0
-			cfg.OnCheckpoint(snapshot())
-		}
-		sinceCkpt++
-		res.Checked++
-		reg.Inc(obs.MProfilesChecked)
-		switch {
-		case len(pending) > 0 && intsEqual(pending[0], idx):
-			// A known equilibrium: the orbit image of an earlier canonical
-			// representative. Emit without evaluating; the profile is built
-			// from the search space directly, because the incrementally
-			// maintained p lags behind idx across skipped states.
-			pending = pending[1:]
-			reg.Inc(obs.MEquilibriaFound)
-			reg.Inc(obs.MQuotientOrbits)
-			res.Equilibria = append(res.Equilibria, profileAt(ss, idx))
-			if cfg.MaxEquilibria > 0 && len(res.Equilibria) >= cfg.MaxEquilibria {
-				return capReturn()
-			}
-		case qv != nil && !canonicalAt():
-			// A lex-smaller orbit member decides this state: if that
-			// representative is stable this state reappears via pending;
-			// either way it is credited as checked without an evaluation.
-			// Under bulk skipping the whole certified suffix block is
-			// credited at once and the cursor jumps past it.
-			reg.Inc(obs.MQuotientSkipped)
-			if suffSize != nil {
-				extra, done, jumped := bulkSkip(skipLevel)
-				if extra > 0 {
-					res.Checked += extra
-					sinceCkpt += extra
-					reg.Add(obs.MProfilesChecked, int64(extra))
-					reg.Add(obs.MQuotientSkipped, int64(extra))
-				}
-				if done {
-					return res, nil
-				}
-				if jumped {
-					continue
-				}
-			}
-		default:
-			applyRewires()
-			var stable bool
-			if reg != nil && res.Checked&evalSampleMask == 0 {
-				t0 := time.Now()
-				stable = profileStable(es, p, order, lastChanged)
-				reg.Observe(obs.HProfileEval, time.Since(t0).Nanoseconds())
-			} else {
-				stable = profileStable(es, p, order, lastChanged)
-			}
-			if stable {
-				reg.Inc(obs.MEquilibriaFound)
-				res.Equilibria = append(res.Equilibria, p.Clone())
-				if qv != nil {
-					insertPending(qv.orbit(idx))
-				}
-				if cfg.MaxEquilibria > 0 && len(res.Equilibria) >= cfg.MaxEquilibria {
-					return capReturn()
-				}
-			}
-		}
-		if advance() {
-			return res, nil
-		}
-	}
+// EnumeratePureNEParallel is EnumeratePureNE spread over workers
+// goroutines. Results are merged by odometer index, so the equilibria come
+// back in the same order as the serial scan. maxEquilibria caps the total
+// collected (0 = all); Complete reports whether every profile was checked
+// before the cap ended the collection.
+func EnumeratePureNEParallel(spec Spec, agg Aggregation, ss *SearchSpace, maxEquilibria, workers int) (*NEResult, error) {
+	return EnumeratePureNEParallelOpts(spec, agg, ss, EnumConfig{MaxEquilibria: maxEquilibria, Workers: workers})
 }
 
-// profileAt materializes the profile at an odometer state, cloning each
-// strategy so later rewires cannot alias it (same deep-copy shape as
-// Profile.Clone, so emitted equilibria are byte-identical either way).
-func profileAt(ss *SearchSpace, idx []int) Profile {
-	p := make(Profile, len(idx))
-	for u, i := range idx {
-		p[u] = append(Strategy(nil), ss.PerNode[u][i]...)
+// EnumeratePureNEParallelOpts is the run-controlled parallel scan. At
+// most cfg.Workers goroutines claim fixed index ranges of the space
+// (never one goroutine per range), every range observes cfg.Ctx and the
+// shared cfg.MaxProfiles budget, and a panic inside a range surfaces as
+// an error naming that partition instead of killing the process.
+// Each worker fires OnCheckpoint every CheckpointEvery profiles it checks,
+// and the checkpoint resumes in either entry point.
+func EnumeratePureNEParallelOpts(spec Spec, agg Aggregation, ss *SearchSpace, cfg EnumConfig) (*NEResult, error) {
+	s, err := newScan(spec, agg, ss, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return p
+	if err := s.runParallel(cfg.Workers); err != nil {
+		return nil, err
+	}
+	return s.result(), nil
 }
 
 // setStrategyArcs rewires node u's out-arcs in g to match strategy s.

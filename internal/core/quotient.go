@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,6 +52,9 @@ func NewQuotient(spec Spec, ss *SearchSpace, gens [][]int) (*Quotient, error) {
 	if len(ss.PerNode) != n {
 		return nil, fmt.Errorf("core: search space covers %d nodes, spec has %d", len(ss.PerNode), n)
 	}
+	if ss.Size() >= indexCap {
+		return nil, fmt.Errorf("core: a quotient needs a search space of fewer than 2^63 profiles")
+	}
 	seen := make([]bool, n)
 	for gi, perm := range gens {
 		if len(perm) != n {
@@ -94,7 +98,7 @@ func NewQuotient(spec Spec, ss *SearchSpace, gens [][]int) (*Quotient, error) {
 	for _, perm := range elems[1:] { // drop the identity
 		q.perms = append(q.perms, perm)
 	}
-	sort.Slice(q.perms, func(a, b int) bool { return lexLessInts(q.perms[a], q.perms[b]) })
+	sort.Slice(q.perms, func(a, b int) bool { return slices.Compare(q.perms[a], q.perms[b]) < 0 })
 
 	// Per-node strategy index: key each strategy once, then resolve every
 	// permuted strategy against the image node's table.
@@ -161,121 +165,41 @@ func (q *Quotient) QualifyFingerprint(fp string) string {
 	return fmt.Sprintf("%s+q%d-%016x", fp, q.Order(), h.Sum64())
 }
 
-// ViewFor binds the quotient to one scan's search space. pivot < 0 is the
-// full compiled space (serial scan). pivot >= 0 is a parallel partition:
-// ss must equal the compiled space except at the pivot node, whose set is
-// the singleton holding compiled strategy index `fixed`. The view is
-// scan-private (it carries scratch buffers) — parallel workers get one per
-// partition.
-func (q *Quotient) ViewFor(ss *SearchSpace, pivot, fixed int) (*quotientView, error) {
+// checkSpace verifies that ss is the search space the quotient was
+// compiled against.
+func (q *Quotient) checkSpace(ss *SearchSpace) error {
 	if len(ss.PerNode) != q.n {
-		return nil, fmt.Errorf("core: quotient compiled for %d nodes, search space has %d", q.n, len(ss.PerNode))
+		return fmt.Errorf("core: quotient compiled for %d nodes, search space has %d", q.n, len(ss.PerNode))
 	}
 	for u, set := range ss.PerNode {
-		if u == pivot {
-			continue
-		}
-		if !strategySetsEqual(set, q.sets[u]) {
-			return nil, fmt.Errorf("core: node %d strategy set differs from the quotient's compiled search space", u)
+		if !slices.EqualFunc(set, q.sets[u], Strategy.Equal) {
+			return fmt.Errorf("core: node %d strategy set differs from the quotient's compiled search space", u)
 		}
 	}
-	if pivot >= 0 {
-		if pivot >= q.n {
-			return nil, fmt.Errorf("core: pivot %d out of range", pivot)
-		}
-		if fixed < 0 || fixed >= len(q.sets[pivot]) {
-			return nil, fmt.Errorf("core: pivot strategy index %d out of range [0,%d)", fixed, len(q.sets[pivot]))
-		}
-		set := ss.PerNode[pivot]
-		if len(set) != 1 || !strategiesEqual(set[0], q.sets[pivot][fixed]) {
-			return nil, fmt.Errorf("core: partition at pivot %d does not hold compiled strategy %d", pivot, fixed)
-		}
-	}
-	return &quotientView{q: q, pivot: pivot, fixed: fixed, gidx: make([]int, q.n), tmp: make([]int, q.n)}, nil
+	return nil
 }
 
-// quotientView is a Quotient bound to one (sub-)space scan. For a parallel
-// partition it tests canonicality locally: a state is skipped only when a
-// lex-smaller orbit member lies in the *same* partition, and orbit images
-// are emitted only within the partition — sound (every orbit member's own
-// partition emits it exactly once) and merge-order preserving, without any
-// cross-partition coordination.
-type quotientView struct {
-	q     *Quotient
-	pivot int // -1 = full space
-	fixed int // compiled strategy index pinned at pivot
-	gidx  []int
-	tmp   []int
-}
-
-// globalize copies the scan-local odometer state into the view's global
-// index scratch (re-inserting the pinned pivot digit) and returns it.
-func (v *quotientView) globalize(idx []int) []int {
-	g := v.gidx
-	copy(g, idx)
-	if v.pivot >= 0 {
-		g[v.pivot] = v.fixed
-	}
-	return g
-}
-
-// canonical reports whether the state is its orbit's representative: no
-// group element maps it to a lexicographically smaller state within the
-// view's partition. It allocates nothing.
-func (v *quotientView) canonical(idx []int) bool {
-	q := v.q
-	g := v.globalize(idx)
-	for p := range q.perms {
-		inv, strat := q.inv[p], q.strat[p]
-		if v.pivot >= 0 {
-			pu := inv[v.pivot]
-			if int(strat[pu][g[pu]]) != v.fixed {
-				continue // image leaves the partition; not this view's concern
-			}
-		}
-		for j := 0; j < q.n; j++ {
-			pu := inv[j]
-			m := int(strat[pu][g[pu]])
-			if m == g[j] {
-				continue
-			}
-			if m < g[j] {
-				return false
-			}
-			break // image is lex-greater; try the next element
-		}
-		// Image equals the state (a stabilizer element): not smaller.
-	}
-	return true
-}
-
-// refuteLevel is canonical plus a skip certificate: when the state is not
-// canonical, level is the deepest *free* odometer position (a digit with
-// more than one strategy) that some refuting group element's comparison
-// reads — the element maps positions 0..d of the image from digits at
-// {inv[0..d]} ∪ {0..d}, and digits at singleton positions are constant, so
-// every state agreeing with idx on digits 0..level is refuted by that same
-// element. A serial scan may therefore credit and skip the whole suffix
-// block at once. The level is minimized over all refuting elements to
-// maximize the block. Only full-space views (pivot < 0) may call it: the
-// partition-locality pre-check of a pivoted view reads a digit the
-// certificate does not cover.
-func (v *quotientView) refuteLevel(idx []int) (canonical bool, level int) {
-	if v.pivot >= 0 {
-		panic("core: refuteLevel on a partition-local quotient view")
-	}
-	q := v.q
-	g := v.globalize(idx)
+// refuteLevel is the canonicality test plus a skip certificate. A state
+// is canonical — its orbit's representative — when no group element maps
+// it to a lexicographically smaller state. When it is not, level is the
+// deepest *free* odometer position (a digit with more than one strategy)
+// that some refuting group element's comparison reads: the element maps
+// positions 0..d of the image from digits at {inv[0..d]} ∪ {0..d}, and
+// digits at singleton positions are constant, so every state agreeing
+// with idx on digits 0..level is refuted by that same element and the
+// scan may credit the whole suffix block at once. The level is minimized
+// over all refuting elements to maximize the block. It allocates nothing.
+func (q *Quotient) refuteLevel(idx []int) (canonical bool, level int) {
 	best := q.n // sentinel: no element refutes the state
 	for p := range q.perms {
 		inv, strat := q.inv[p], q.strat[p]
 		for j := 0; j < q.n; j++ {
 			pu := inv[j]
-			m := int(strat[pu][g[pu]])
-			if m == g[j] {
+			m := int(strat[pu][idx[pu]])
+			if m == idx[j] {
 				continue
 			}
-			if m < g[j] {
+			if m < idx[j] {
 				lvl := 0
 				for k := 0; k <= j; k++ {
 					if len(q.sets[k]) > 1 && k > lvl {
@@ -289,49 +213,35 @@ func (v *quotientView) refuteLevel(idx []int) (canonical bool, level int) {
 					best = lvl
 				}
 			}
-			break
+			break // the image differs here; a stabilizer element never refutes
 		}
 	}
 	return best == q.n, best
 }
 
-// orbit returns the orbit of the (canonical, stable) state under the
-// group, restricted to the view's partition, excluding the state itself:
-// the scan-local index vectors of every profile whose stability follows
-// from the representative's, sorted ascending and deduplicated. Every
-// member is lexicographically greater than the representative (that is
-// what canonical means), so the scan's cursor has not passed any of them.
-func (v *quotientView) orbit(idx []int) [][]int {
-	q := v.q
-	g := v.globalize(idx)
-	var out [][]int
+// orbit returns the odometer indices (suff as in odometer) of the other
+// members of a canonical state's orbit, ascending and deduplicated: every
+// profile whose stability follows from the representative's. Each lies
+// past the representative, because that is what canonical means.
+func (q *Quotient) orbit(idx []int, suff []uint64) []uint64 {
+	var self uint64
+	for j, d := range idx {
+		self += uint64(d) * suff[j+1]
+	}
+	var out []uint64
 	for p := range q.perms {
 		inv, strat := q.inv[p], q.strat[p]
-		m := v.tmp
+		var at uint64
 		for j := 0; j < q.n; j++ {
 			pu := inv[j]
-			m[j] = int(strat[pu][g[pu]])
+			at += uint64(strat[pu][idx[pu]]) * suff[j+1]
 		}
-		if v.pivot >= 0 && m[v.pivot] != v.fixed {
-			continue
-		}
-		if intsEqual(m, g) {
-			continue
-		}
-		loc := append([]int(nil), m...)
-		if v.pivot >= 0 {
-			loc[v.pivot] = 0
-		}
-		out = append(out, loc)
-	}
-	sort.Slice(out, func(a, b int) bool { return lexLessInts(out[a], out[b]) })
-	dedup := out[:0]
-	for i, m := range out {
-		if i == 0 || !intsEqual(m, out[i-1]) {
-			dedup = append(dedup, m)
+		if at != self {
+			out = append(out, at)
 		}
 	}
-	return dedup
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SpecAutomorphisms enumerates every player permutation preserving the
@@ -489,50 +399,4 @@ func permKey(p []int) string {
 		fmt.Fprintf(&sb, "%d,", v)
 	}
 	return sb.String()
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// lexLessInts is strict lexicographic comparison of equal-length vectors.
-func lexLessInts(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-func strategiesEqual(a, b Strategy) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func strategySetsEqual(a, b []Strategy) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !strategiesEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -128,7 +129,7 @@ func TestSpecAutomorphismsFindsMirror(t *testing.T) {
 	}
 	found := false
 	for _, p := range perms {
-		if intsEqual(p, mirror) {
+		if slices.Equal(p, mirror) {
 			found = true
 		}
 	}
@@ -334,7 +335,7 @@ func TestQuotientCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := &EnumCheckpoint{Cursor: []int{0, 1, 0, 0}, Checked: 5}
+	base := &EnumCheckpoint{Cursor: []int{0, 1, 0, 0}, Checked: 16}
 	for name, pend := range map[string][][]int{
 		"wrong length":  {{0, 1}},
 		"out of range":  {{0, 99, 0, 0}},
@@ -351,7 +352,7 @@ func TestQuotientCheckpointValidation(t *testing.T) {
 	// A valid pending entry at the cursor itself must be accepted.
 	cp := *base
 	cp.Pending = [][]int{{0, 1, 0, 0}, {0, 3, 2, 1}}
-	if _, err := EnumeratePureNEOpts(spec, SumDistances, ss, EnumConfig{Resume: &cp, MaxProfiles: 6}); err != nil {
+	if _, err := EnumeratePureNEOpts(spec, SumDistances, ss, EnumConfig{Resume: &cp, MaxProfiles: 17}); err != nil {
 		t.Errorf("valid pending rejected: %v", err)
 	}
 }

@@ -51,9 +51,8 @@ type Request struct {
 }
 
 // ShardRange restricts an enumerate job to the half-open range
-// [Lo, Hi) of the search space's pivot partitions — the same
-// partitioning the parallel enumerator fans out over (the strategy set
-// of the first node with more than one strategy). Concatenating shard
+// [Lo, Hi) of the search space's pivot partitions (the strategy set of
+// the first node with more than one strategy). Concatenating shard
 // results in Lo order reproduces the serial odometer order exactly,
 // which is what makes the fleet coordinator's merge byte-identical to a
 // single-box scan. The shard participates in the dedup key and in the
