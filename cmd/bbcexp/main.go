@@ -42,8 +42,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -53,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bbc/internal/cli"
 	"bbc/internal/exper"
 	"bbc/internal/obs"
 	"bbc/internal/runctl"
@@ -71,53 +70,28 @@ type suiteCheckpoint struct {
 // options collects every flag; run consumes it so tests can drive the
 // command without a process boundary.
 type options struct {
-	quick      bool
-	only       string
-	jsonOut    bool
-	timeout    time.Duration
-	checkpoint string
-	resume     string
-	journal    string
-	trace      string
-	progress   bool
-	pprof      string
+	quick   bool
+	only    string
+	jsonOut bool
+	cli.Flags
 
 	stdout, stderr io.Writer
 }
 
 func main() {
-	var o options
-	flag.BoolVar(&o.quick, "quick", false, "skip the multi-minute exhaustive scans")
-	flag.StringVar(&o.only, "only", "", "comma-separated experiment ids to run (default: all)")
-	flag.BoolVar(&o.jsonOut, "json", false, "emit machine-readable JSON instead of text")
-	flag.DurationVar(&o.timeout, "timeout", 0, "wall-time budget for the whole suite, e.g. 10m (0 = none)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "persist completed experiment reports to this file after each experiment")
-	flag.StringVar(&o.resume, "resume", "", "replay completed reports from this snapshot and run only the rest")
-	flag.StringVar(&o.journal, "journal", "", "write a JSONL run journal to this file")
-	flag.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON file of solver spans to this file")
-	flag.BoolVar(&o.progress, "progress", false, "print progress/ETA to stderr")
-	flag.StringVar(&o.pprof, "pprof", "", "serve pprof/expvar at this address (e.g. :6060)")
-	flag.Parse()
-	o.stdout, o.stderr = os.Stdout, os.Stderr
+	os.Exit(cliMain(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	ctx, signalled, stopSignals := runctl.SignalContext(context.Background())
-	status, failures, err := run(ctx, o)
-	stopSignals()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bbcexp: %v\n", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(runctl.ExitUsage)
-		}
-		os.Exit(runctl.ExitCodeForError(err))
-	}
-	if sig := signalled(); sig != nil {
-		fmt.Fprintf(os.Stderr, "bbcexp: interrupted by %v; partial results flushed\n", sig)
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "bbcexp: %d experiment(s) failed\n", failures)
-		os.Exit(runctl.ExitError)
-	}
-	os.Exit(runctl.ExitCode(status))
+// cliMain is the whole command behind a testable seam.
+func cliMain(args []string, stdout, stderr io.Writer) int {
+	o := options{stdout: stdout, stderr: stderr}
+	fs := cli.NewFlagSet("bbcexp", stderr, &o.Flags, cli.RunControl)
+	fs.BoolVar(&o.quick, "quick", false, "skip the multi-minute exhaustive scans")
+	fs.StringVar(&o.only, "only", "", "comma-separated experiment ids to run (default: all)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit machine-readable JSON instead of text")
+	return cli.Main(fs, args, "experiment", func(ctx context.Context) (runctl.Status, int, error) {
+		return run(ctx, o)
+	})
 }
 
 // run executes the selected experiments under run control and reports
@@ -127,101 +101,51 @@ func run(ctx context.Context, o options) (runctl.Status, int, error) {
 	if err != nil {
 		return runctl.StatusComplete, 0, err
 	}
-	ctx, cancelTimeout := runctl.WithDeadline(ctx, o.timeout)
-	defer cancelTimeout()
-
 	fp := suiteFingerprint(o.quick, suite)
-	done := map[string]*exper.Report{}
-	var recovered *runctl.Recovery
-	if o.resume != "" {
-		st := &runctl.Store{Path: o.resume}
-		env, rec, err := st.Load()
-		if err != nil {
-			return runctl.StatusComplete, 0, err
-		}
-		if rec.Fallback {
-			fmt.Fprintf(o.stderr, "bbcexp: checkpoint %s was not loadable (%v); resuming from the previous generation %s\n",
-				o.resume, rec.Err, rec.Path)
-			if rec.Quarantined != "" {
-				fmt.Fprintf(o.stderr, "bbcexp: the corrupt snapshot was preserved at %s for inspection\n", rec.Quarantined)
-			}
-			recovered = rec
-		}
+	failures := 0
+	status, err := o.Start(ctx, "bbcexp", o.stderr, func(ctx context.Context, rt *cli.Run) (runctl.Status, error) {
 		var cp suiteCheckpoint
-		if err := env.Decode(suiteCheckpointKind, fp, &cp); err != nil {
-			return runctl.StatusComplete, 0, err
+		from, err := rt.LoadResume(suiteCheckpointKind, fp, &cp)
+		if err != nil {
+			return runctl.StatusComplete, err
 		}
-		done = cp.Reports
+		done := cp.Reports
 		if done == nil {
 			done = map[string]*exper.Report{}
 		}
-		fmt.Fprintf(o.stderr, "bbcexp: resuming suite from %s (%d of %d experiments already done)\n",
-			rec.Path, len(done), len(suite))
-	}
-
-	rt, err := obs.StartCLIConfig(obs.CLIConfig{
-		Name:    "bbcexp",
-		Journal: o.journal,
-		// Resumed suites append to the interrupted run's journal.
-		AppendJournal: o.resume != "",
-		Trace:         o.trace,
-		Pprof:         o.pprof,
-		Stderr:        o.stderr,
+		if from != "" {
+			fmt.Fprintf(o.stderr, "bbcexp: resuming suite from %s (%d of %d experiments already done)\n",
+				from, len(done), len(suite))
+		}
+		var status runctl.Status
+		status, failures, err = runSuite(ctx, o, suite, done, fp, rt)
+		return status, err
 	})
-	if err != nil {
-		return runctl.StatusComplete, 0, err
-	}
-	if recovered != nil {
-		rt.Journal.Event("checkpoint_recovered", map[string]any{
-			"path":        o.resume,
-			"loaded_from": recovered.Path,
-			"quarantined": recovered.Quarantined,
-			"reason":      fmt.Sprint(recovered.Err),
-		})
-	}
-	status, failures, runErr := runSuite(ctx, o, suite, done, fp, rt)
-	if cerr := rt.Close(); runErr == nil && cerr != nil {
-		runErr = cerr
-	}
-	return status, failures, runErr
+	return status, failures, err
 }
 
 // runSuite drives the experiment loop: replayed reports come from the
 // resume snapshot, fresh ones run under ctx, and each completion is
 // checkpointed before the next experiment starts.
-func runSuite(ctx context.Context, o options, suite []exper.Experiment, done map[string]*exper.Report, fp string, rt *obs.Runtime) (runctl.Status, int, error) {
+func runSuite(ctx context.Context, o options, suite []exper.Experiment, done map[string]*exper.Report, fp string, rt *cli.Run) (runctl.Status, int, error) {
 	var completed atomic.Int64
 	var prog *obs.Progress
-	if o.progress {
+	if o.Progress {
 		prog = obs.StartProgress(o.stderr, "experiments", uint64(len(suite)),
 			func() uint64 { return uint64(completed.Load()) }, time.Second)
 	}
 	defer prog.Stop()
 
-	ckptStore := &runctl.Store{Path: o.checkpoint, Retries: 2}
-	// save persists the completed-report set with rotation and bounded
-	// retry. A failure degrades gracefully: the suite keeps running on
-	// in-memory state (losing resumability, not results), the failure is
-	// journaled, and the next completed experiment retries from scratch.
+	// save persists the completed-report set. A failure degrades
+	// gracefully: the suite keeps running on in-memory state (losing
+	// resumability, not results), and the next completed experiment
+	// retries from scratch.
 	save := func() {
-		if o.checkpoint == "" {
-			return
-		}
-		env, err := runctl.NewCheckpoint(suiteCheckpointKind, fp,
-			runctl.StatusFromContext(ctx), rt.Reg.Snapshot(), &suiteCheckpoint{Reports: done})
-		if err == nil {
-			err = ckptStore.Save(env)
-		}
+		err := rt.Save(suiteCheckpointKind, fp, runctl.StatusFromContext(ctx),
+			&suiteCheckpoint{Reports: done}, map[string]any{"completed": len(done)})
 		if err != nil {
 			fmt.Fprintf(o.stderr, "bbcexp: checkpoint save failed (suite continues): %v\n", err)
-			rt.Journal.Event("checkpoint_error", map[string]any{
-				"path": o.checkpoint, "completed": len(done), "error": err.Error(),
-			})
-			return
 		}
-		rt.Journal.Checkpoint(o.checkpoint, suiteCheckpointKind, map[string]any{
-			"completed": len(done),
-		})
 	}
 
 	cfg := exper.Config{Quick: o.quick, Ctx: ctx}
@@ -285,9 +209,6 @@ func runSuite(ctx context.Context, o options, suite []exper.Experiment, done map
 	return status, failures, nil
 }
 
-// errUsage marks command-line mistakes, which exit with ExitUsage.
-var errUsage = errors.New("usage")
-
 // selectSuite resolves -only against the full suite, rejecting unknown
 // ids.
 func selectSuite(only string) ([]exper.Experiment, error) {
@@ -314,7 +235,7 @@ func selectSuite(only string) ([]exper.Experiment, error) {
 			unknown = append(unknown, id)
 		}
 		sort.Strings(unknown)
-		return nil, fmt.Errorf("%w: unknown experiment id(s): %s", errUsage, strings.Join(unknown, ", "))
+		return nil, fmt.Errorf("%w: unknown experiment id(s): %s", cli.ErrUsage, strings.Join(unknown, ", "))
 	}
 	return suite, nil
 }

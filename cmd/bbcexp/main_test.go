@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"bbc/internal/cli"
 	"bbc/internal/exper"
 	"bbc/internal/runctl"
 )
@@ -37,7 +38,7 @@ func decodeReports(t *testing.T, stdout *bytes.Buffer) []*exper.Report {
 func TestSuiteCheckpointResume(t *testing.T) {
 	ckpt := t.TempDir() + "/suite.ckpt"
 	o, stdout, _ := expOptions()
-	o.checkpoint = ckpt
+	o.Checkpoint = ckpt
 	status, failures, err := run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestSuiteCheckpointResume(t *testing.T) {
 	}
 
 	o2, stdout2, stderr2 := expOptions()
-	o2.resume = ckpt
+	o2.Resume = ckpt
 	status, failures, err = run(context.Background(), o2)
 	if err != nil {
 		t.Fatal(err)
@@ -83,12 +84,12 @@ func TestSuiteCheckpointResume(t *testing.T) {
 func TestSuiteResumeRejectsDifferentSelection(t *testing.T) {
 	ckpt := t.TempDir() + "/suite.ckpt"
 	o, _, _ := expOptions()
-	o.only, o.checkpoint = "E20", ckpt
+	o.only, o.Checkpoint = "E20", ckpt
 	if _, _, err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	o2, _, _ := expOptions()
-	o2.only, o2.resume = "E8", ckpt
+	o2.only, o2.Resume = "E8", ckpt
 	if _, _, err := run(context.Background(), o2); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("want fingerprint mismatch error, got %v", err)
 	}
@@ -120,7 +121,7 @@ func TestSuiteUnknownIDIsUsageError(t *testing.T) {
 	o, _, _ := expOptions()
 	o.only = "E99"
 	_, _, err := run(context.Background(), o)
-	if err == nil || !errors.Is(err, errUsage) {
+	if err == nil || !errors.Is(err, cli.ErrUsage) {
 		t.Fatalf("want usage error for unknown id, got %v", err)
 	}
 }

@@ -42,13 +42,13 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"time"
 
+	"bbc/internal/cli"
 	"bbc/internal/core"
 	"bbc/internal/fleet"
 	"bbc/internal/obs"
@@ -71,54 +71,37 @@ type options struct {
 	apiKey       string
 	tail         bool
 	jsonOut      bool
-	timeout      time.Duration
-	checkpoint   string
-	resume       string
-	journal      string
-	trace        string
-	progress     bool
-	pprof        string
+	cli.Flags
 
 	stdout, stderr io.Writer
 }
 
 func main() {
-	var o options
-	flag.IntVar(&o.n, "n", 6, "number of players (uniform game; ignored with -load)")
-	flag.IntVar(&o.k, "k", 1, "per-player link budget (uniform game; ignored with -load)")
-	flag.StringVar(&o.load, "load", "", "load a game spec or core.Instance JSON file instead of -n/-k")
-	flag.StringVar(&o.agg, "agg", "sum", "cost aggregation: sum or max")
-	flag.BoolVar(&o.pin, "pin", false, "scan the soundly pinned search space (unit-length games)")
-	flag.StringVar(&o.workers, "workers", "", "comma-separated bbcserved base URLs (required)")
-	flag.IntVar(&o.shards, "shards", 0, "shard leases to split the space into (0 = 4 per worker)")
-	flag.DurationVar(&o.leaseTTL, "lease-ttl", 30*time.Second, "lease deadline without a heartbeat before a shard is re-leased")
-	flag.IntVar(&o.solveWorkers, "solve-workers", 0, "per-shard solver parallelism on each worker (0 = serial)")
-	flag.DurationVar(&o.poll, "poll", 100*time.Millisecond, "job status poll period (each poll heartbeats the lease)")
-	flag.IntVar(&o.maxAttempts, "max-attempts", 0, "lease grants per shard before the run fails (0 = 8)")
-	flag.StringVar(&o.apiKey, "api-key", "", "X-API-Key identifying this fleet to worker admission control")
-	flag.BoolVar(&o.tail, "tail", false, "stream worker job events into the journal over SSE")
-	flag.BoolVar(&o.jsonOut, "json", false, "emit the result as one JSON object on stdout")
-	flag.DurationVar(&o.timeout, "timeout", 0, "wall-time budget, e.g. 30s; truncates with status deadline (0 = none)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "persist the lease table to this file")
-	flag.StringVar(&o.resume, "resume", "", "resume from this lease-table checkpoint (and keep persisting to it)")
-	flag.StringVar(&o.journal, "journal", "", "write a JSONL run journal to this file")
-	flag.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON file of shard spans to this file")
-	flag.BoolVar(&o.progress, "progress", false, "print shard progress to stderr")
-	flag.StringVar(&o.pprof, "pprof", "", "serve pprof/expvar at this address (e.g. :6060)")
-	flag.Parse()
-	o.stdout, o.stderr = os.Stdout, os.Stderr
+	os.Exit(cliMain(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	ctx, signalled, stopSignals := runctl.SignalContext(context.Background())
-	status, err := run(ctx, o)
-	stopSignals()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bbcfleet: %v\n", err)
-		os.Exit(runctl.ExitCodeForError(err))
-	}
-	if sig := signalled(); sig != nil {
-		fmt.Fprintf(os.Stderr, "bbcfleet: interrupted by %v; partial results flushed\n", sig)
-	}
-	os.Exit(runctl.ExitCode(status))
+// cliMain is the whole command behind a testable seam.
+func cliMain(args []string, stdout, stderr io.Writer) int {
+	o := options{stdout: stdout, stderr: stderr}
+	fs := cli.NewFlagSet("bbcfleet", stderr, &o.Flags, cli.RunControl)
+	fs.IntVar(&o.n, "n", 6, "number of players (uniform game; ignored with -load)")
+	fs.IntVar(&o.k, "k", 1, "per-player link budget (uniform game; ignored with -load)")
+	fs.StringVar(&o.load, "load", "", "load a game spec or core.Instance JSON file instead of -n/-k")
+	fs.StringVar(&o.agg, "agg", "sum", "cost aggregation: sum or max")
+	fs.BoolVar(&o.pin, "pin", false, "scan the soundly pinned search space (unit-length games)")
+	fs.StringVar(&o.workers, "workers", "", "comma-separated bbcserved base URLs (required)")
+	fs.IntVar(&o.shards, "shards", 0, "shard leases to split the space into (0 = 4 per worker)")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 30*time.Second, "lease deadline without a heartbeat before a shard is re-leased")
+	fs.IntVar(&o.solveWorkers, "solve-workers", 0, "per-shard solver parallelism on each worker (0 = serial)")
+	fs.DurationVar(&o.poll, "poll", 100*time.Millisecond, "job status poll period (each poll heartbeats the lease)")
+	fs.IntVar(&o.maxAttempts, "max-attempts", 0, "lease grants per shard before the run fails (0 = 8)")
+	fs.StringVar(&o.apiKey, "api-key", "", "X-API-Key identifying this fleet to worker admission control")
+	fs.BoolVar(&o.tail, "tail", false, "stream worker job events into the journal over SSE")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the result as one JSON object on stdout")
+	return cli.Main(fs, args, "", func(ctx context.Context) (runctl.Status, int, error) {
+		status, err := run(ctx, o)
+		return status, 0, err
+	})
 }
 
 // result is the machine-readable run outcome. Checked and Equilibria
@@ -150,7 +133,7 @@ func run(ctx context.Context, o options) (runctl.Status, error) {
 	if len(workers) == 0 {
 		return runctl.StatusComplete, fmt.Errorf("at least one -workers URL is required")
 	}
-	if o.checkpoint != "" && o.resume != "" {
+	if o.Checkpoint != "" && o.Resume != "" {
 		return runctl.StatusComplete, fmt.Errorf("-checkpoint and -resume are exclusive; -resume keeps persisting to its path")
 	}
 
@@ -159,23 +142,14 @@ func run(ctx context.Context, o options) (runctl.Status, error) {
 		return runctl.StatusComplete, err
 	}
 
-	ctx, cancelTimeout := runctl.WithDeadline(ctx, o.timeout)
-	defer cancelTimeout()
-
-	rt, err := obs.StartCLIConfig(obs.CLIConfig{
-		Name:    "bbcfleet",
-		Journal: o.journal,
-		// A resumed run continues the interrupted run's journal instead of
-		// truncating it: its records survive, sequence numbers continue.
-		AppendJournal: o.resume != "",
-		Trace:         o.trace,
-		Pprof:         o.pprof,
-		Stderr:        o.stderr,
+	return o.Start(ctx, "bbcfleet", o.stderr, func(ctx context.Context, rt *cli.Run) (runctl.Status, error) {
+		return scan(ctx, o, spec, workers, rt)
 	})
-	if err != nil {
-		return runctl.StatusComplete, err
-	}
+}
 
+// scan plans and runs the fleet scan, journals its outcome and prints
+// the result.
+func scan(ctx context.Context, o options, spec core.Spec, workers []string, rt *cli.Run) (runctl.Status, error) {
 	cfg := fleet.Config{
 		Spec:           spec,
 		Agg:            o.agg,
@@ -187,31 +161,27 @@ func run(ctx context.Context, o options) (runctl.Status, error) {
 		SolveWorkers:   o.solveWorkers,
 		MaxAttempts:    o.maxAttempts,
 		APIKey:         o.apiKey,
-		CheckpointPath: o.checkpoint,
+		CheckpointPath: o.Checkpoint,
 		Tail:           o.tail,
 		Reg:            rt.Reg,
 		Journal:        rt.Journal,
 	}
-	if o.resume != "" {
-		cfg.CheckpointPath = o.resume
+	if o.Resume != "" {
+		cfg.CheckpointPath = o.Resume
 		cfg.Resume = true
 	}
-
+	plan, err := fleet.Plan(cfg)
+	if err != nil {
+		return runctl.StatusComplete, err
+	}
 	var prog *obs.Progress
-	if o.progress {
-		total := o.shards
-		if total <= 0 {
-			total = 4 * len(workers)
-		}
-		prog = obs.StartProgress(o.stderr, "shards", uint64(total),
+	if o.Progress {
+		prog = obs.StartProgress(o.stderr, "shards", uint64(plan.Shards()),
 			obs.MetricReader(rt.Reg, obs.MFleetShardsDone), time.Second)
 	}
-	res, err := fleet.Run(ctx, cfg)
+	res, err := plan.Run(ctx)
 	prog.Stop()
 	if err != nil {
-		if cerr := rt.Close(); cerr != nil {
-			fmt.Fprintf(o.stderr, "bbcfleet: %v\n", cerr)
-		}
 		return runctl.StatusComplete, err
 	}
 
@@ -234,17 +204,10 @@ func run(ctx context.Context, o options) (runctl.Status, error) {
 		"mode": "fleet", "shards": out.Shards, "shards_done": out.ShardsDone,
 		"checked": out.Checked, "equilibria": len(out.Equilibria),
 	})
-	if cerr := rt.Close(); cerr != nil {
-		return res.NE.Status, cerr
-	}
-
 	if o.jsonOut {
 		enc := json.NewEncoder(o.stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return res.NE.Status, err
-		}
-		return res.NE.Status, nil
+		return res.NE.Status, enc.Encode(out)
 	}
 	report(o.stdout, out)
 	return res.NE.Status, nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bbc/internal/cli"
 	"bbc/internal/core"
 	"bbc/internal/obs"
 	"bbc/internal/runctl"
@@ -70,7 +71,7 @@ func TestFleetCLIMatchesSingleBox(t *testing.T) {
 		leaseTTL: 10 * time.Second,
 		poll:     5 * time.Millisecond,
 		jsonOut:  true,
-		journal:  journal,
+		Flags:    cli.Flags{Journal: journal},
 	})
 	if status != runctl.StatusComplete {
 		t.Errorf("status = %v, want complete (exit 0)", status)
@@ -136,7 +137,7 @@ func TestFleetCLILoadSpecFile(t *testing.T) {
 func TestFleetCLIUsageErrors(t *testing.T) {
 	for name, o := range map[string]options{
 		"no workers":          {n: 4, k: 1, agg: "sum"},
-		"exclusive ckpt":      {n: 4, k: 1, agg: "sum", workers: "http://x", checkpoint: "a", resume: "b"},
+		"exclusive ckpt":      {n: 4, k: 1, agg: "sum", workers: "http://x", Flags: cli.Flags{Checkpoint: "a", Resume: "b"}},
 		"unknown aggregation": {n: 4, k: 1, agg: "median", workers: "http://x"},
 	} {
 		o.stdout, o.stderr = &bytes.Buffer{}, &bytes.Buffer{}

@@ -27,76 +27,68 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"time"
 
+	"bbc/internal/cli"
 	"bbc/internal/construct"
 	"bbc/internal/core"
-	"bbc/internal/obs"
 	"bbc/internal/runctl"
 )
 
 func main() {
+	os.Exit(cliMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cliMain is the whole command behind a testable seam.
+func cliMain(args []string, stdout, stderr io.Writer) int {
+	var f cli.Flags
+	fs := cli.NewFlagSet("bbcgen", stderr, &f, cli.Obs)
 	var (
-		kind      = flag.String("kind", "uniform", "instance kind: uniform, random, willows or gadget")
-		n         = flag.Int("n", 10, "players (uniform, random)")
-		k         = flag.Int("k", 2, "budget (uniform) / tree count (willows)")
-		h         = flag.Int("h", 2, "tree height (willows)")
-		l         = flag.Int("l", 1, "tail length (willows)")
-		maxWeight = flag.Int64("max-weight", 3, "random: weights drawn from 0..max-weight")
-		maxCost   = flag.Int64("max-cost", 0, "random: link costs drawn from 1..max-cost (0 = uniform)")
-		maxLength = flag.Int64("max-length", 0, "random: lengths drawn from 1..max-length (0 = uniform)")
-		maxBudget = flag.Int64("max-budget", 2, "random: budgets drawn from 1..max-budget")
-		seed      = flag.Int64("seed", 1, "random seed")
-		journal   = flag.String("journal", "", "write a JSONL run journal to this file")
-		trace     = flag.String("trace", "", "write a Chrome trace-event JSON file of solver spans to this file")
-		progress  = flag.Bool("progress", false, "print a completion line to stderr")
-		pprofAddr = flag.String("pprof", "", "serve pprof/expvar at this address (e.g. :6060)")
+		kind      = fs.String("kind", "uniform", "instance kind: uniform, random, willows or gadget")
+		n         = fs.Int("n", 10, "players (uniform, random)")
+		k         = fs.Int("k", 2, "budget (uniform) / tree count (willows)")
+		h         = fs.Int("h", 2, "tree height (willows)")
+		l         = fs.Int("l", 1, "tail length (willows)")
+		maxWeight = fs.Int64("max-weight", 3, "random: weights drawn from 0..max-weight")
+		maxCost   = fs.Int64("max-cost", 0, "random: link costs drawn from 1..max-cost (0 = uniform)")
+		maxLength = fs.Int64("max-length", 0, "random: lengths drawn from 1..max-length (0 = uniform)")
+		maxBudget = fs.Int64("max-budget", 2, "random: budgets drawn from 1..max-budget")
+		seed      = fs.Int64("seed", 1, "random seed")
 	)
-	flag.Parse()
-	ctx, signalled, stopSignals := runctl.SignalContext(context.Background())
-	defer stopSignals()
-	rt, err := obs.StartCLIConfig(obs.CLIConfig{
-		Name: "bbcgen", Journal: *journal, Trace: *trace, Pprof: *pprofAddr, Stderr: os.Stderr,
+	return cli.Main(fs, args, "", func(ctx context.Context) (runctl.Status, int, error) {
+		status, err := f.Start(ctx, "bbcgen", stderr, func(ctx context.Context, rt *cli.Run) (runctl.Status, error) {
+			start := time.Now()
+			inst, err := generate(*kind, *n, *k, *h, *l, *maxWeight, *maxCost, *maxLength, *maxBudget, *seed)
+			if err != nil {
+				return runctl.StatusComplete, err
+			}
+			rt.Journal.Event("generate", map[string]any{
+				"kind": *kind, "n": inst.Spec.N(), "seed": *seed,
+				"wall_ms": float64(time.Since(start).Microseconds()) / 1000,
+			})
+			status := runctl.StatusFromContext(ctx)
+			rt.Journal.RunStatus(status.String(), status.Complete(), map[string]any{"kind": *kind})
+			if !status.Complete() {
+				fmt.Fprintln(stderr, "bbcgen: interrupted before output; no instance written")
+				return status, nil
+			}
+			enc := json.NewEncoder(stdout)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(inst); err != nil {
+				return status, err
+			}
+			if f.Progress {
+				fmt.Fprintf(stderr, "bbc: generate %s n=%d done in %s\n",
+					*kind, inst.Spec.N(), time.Since(start).Round(time.Millisecond))
+			}
+			return status, nil
+		})
+		return status, 0, err
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bbcgen: %v\n", err)
-		os.Exit(runctl.ExitCodeForError(err))
-	}
-	start := time.Now()
-	inst, err := generate(*kind, *n, *k, *h, *l, *maxWeight, *maxCost, *maxLength, *maxBudget, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bbcgen: %v\n", err)
-		os.Exit(runctl.ExitCodeForError(err))
-	}
-	rt.Journal.Event("generate", map[string]any{
-		"kind": *kind, "n": inst.Spec.N(), "seed": *seed,
-		"wall_ms": float64(time.Since(start).Microseconds()) / 1000,
-	})
-	status := runctl.StatusFromContext(ctx)
-	rt.Journal.RunStatus(status.String(), status.Complete(), map[string]any{"kind": *kind})
-	if !status.Complete() {
-		rt.Close()
-		fmt.Fprintf(os.Stderr, "bbcgen: interrupted by %v before output; no instance written\n", signalled())
-		os.Exit(runctl.ExitCode(status))
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(inst); err != nil {
-		fmt.Fprintf(os.Stderr, "bbcgen: %v\n", err)
-		os.Exit(runctl.ExitCodeForError(err))
-	}
-	if *progress {
-		fmt.Fprintf(os.Stderr, "bbc: generate %s n=%d done in %s\n",
-			*kind, inst.Spec.N(), time.Since(start).Round(time.Millisecond))
-	}
-	if err := rt.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "bbcgen: %v\n", err)
-		os.Exit(runctl.ExitCodeForError(err))
-	}
 }
 
 func generate(kind string, n, k, h, l int, maxWeight, maxCost, maxLength, maxBudget, seed int64) (*core.Instance, error) {

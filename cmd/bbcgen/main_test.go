@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"bbc/internal/core"
+	"bbc/internal/runctl"
 )
 
 func TestGenerateKindsRoundTrip(t *testing.T) {
@@ -64,5 +69,33 @@ func TestGenerateWillowsIsStableInstance(t *testing.T) {
 	}
 	if !stable {
 		t.Fatal("generated willows instance should carry its stable profile")
+	}
+}
+
+// TestCLIFailureStillWritesTrace: a failing run exits 1 and still
+// flushes its trace and journal.
+func TestCLIFailureStillWritesTrace(t *testing.T) {
+	dir := t.TempDir()
+	trace, journal := filepath.Join(dir, "t.json"), filepath.Join(dir, "j.jsonl")
+	var stdout, stderr bytes.Buffer
+	code := cliMain([]string{"-kind", "bogus", "-trace", trace, "-journal", journal}, &stdout, &stderr)
+	if code != runctl.ExitError {
+		t.Fatalf("exit %d, want %d (stderr %q)", code, runctl.ExitError, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `bbcgen: unknown kind "bogus"`) {
+		t.Errorf("stderr lacks the error: %q", stderr.String())
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatalf("no trace file after a failed run: %v", err)
+	}
+	if !json.Valid(data) {
+		t.Fatalf("trace file is not JSON: %s", data)
+	}
+	if _, err := os.Stat(journal); err != nil {
+		t.Errorf("no journal after a failed run: %v", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("failed run wrote to stdout: %q", stdout.String())
 	}
 }

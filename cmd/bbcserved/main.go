@@ -16,13 +16,13 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"time"
 
+	"bbc/internal/cli"
 	"bbc/internal/obs"
 	"bbc/internal/runctl"
 	"bbc/internal/serve"
@@ -34,7 +34,8 @@ func main() {
 }
 
 func run(args []string, stderr *os.File) int {
-	fs := flag.NewFlagSet("bbcserved", flag.ExitOnError)
+	var f cli.Flags
+	fs := cli.NewFlagSet("bbcserved", stderr, &f, cli.JournalFlag|cli.TraceFlag|cli.PprofFlag)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8371", "listen address (use :0 for an ephemeral port)")
 		workers      = fs.Int("workers", 0, "job pool size (0 = NumCPU capped at 8)")
@@ -47,18 +48,17 @@ func run(args []string, stderr *os.File) int {
 		rate         = fs.Float64("rate", 0, "per-client sustained submissions per second admitted (0 = unlimited)")
 		burst        = fs.Int("burst", 0, "per-client submission burst above -rate (0 = ceil(rate))")
 		maxInflight  = fs.Int("max-inflight", 0, "per-client cap on jobs queued or running at once (0 = unlimited)")
-		journalPath  = fs.String("journal", "", "server lifecycle JSONL journal path (\"\" = off)")
 		journalMax   = fs.Int64("journal-max-bytes", 0, "rotate the lifecycle journal to <path>.1 past this size (0 = unbounded)")
-		tracePath    = fs.String("trace", "", "write a Chrome trace-event JSON file of job spans on exit (\"\" = off)")
-		pprofAddr    = fs.String("pprof", "", "pprof/expvar debug server address (\"\" = off)")
 		retryAfter   = fs.Duration("retry-after", 0, "Retry-After hint on refused submissions and drain rejections (0 = 5s)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "bound on the HTTP listener shutdown after the pool drains")
 	)
-	fs.Parse(args)
+	if err := cli.Parse(fs, args); err != nil {
+		return cli.ExitCode(runctl.StatusComplete, 0, err)
+	}
 
 	rt, err := obs.StartCLIConfig(obs.CLIConfig{
-		Name: "bbcserved", Journal: *journalPath, JournalMaxBytes: *journalMax,
-		Trace: *tracePath, Pprof: *pprofAddr, Stderr: stderr,
+		Name: "bbcserved", Journal: f.Journal, JournalMaxBytes: *journalMax,
+		Trace: f.Trace, Pprof: f.Pprof, Stderr: stderr,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "bbcserved: %v\n", err)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"bbc/internal/cli"
 	"bbc/internal/core"
 	"bbc/internal/group"
 	"bbc/internal/obs"
@@ -37,7 +38,7 @@ type enumResult struct {
 // -max-profiles budgets, and persists/consumes -checkpoint/-resume
 // snapshots so an interrupted scan can continue without re-checking any
 // profile.
-func runEnumerate(ctx context.Context, o options, spec core.Spec, agg core.Aggregation, rt *obs.Runtime) (runctl.Status, error) {
+func runEnumerate(ctx context.Context, o options, spec core.Spec, agg core.Aggregation, rt *cli.Run) (runctl.Status, error) {
 	var (
 		ss        *core.SearchSpace
 		spaceName = "full"
@@ -71,58 +72,30 @@ func runEnumerate(ctx context.Context, o options, spec core.Spec, agg core.Aggre
 	}
 
 	var resume *core.EnumCheckpoint
-	if o.resume != "" {
-		st := &runctl.Store{Path: o.resume}
-		env, rec, err := st.Load()
-		if err != nil {
-			return runctl.StatusComplete, err
-		}
-		if rec.Fallback {
-			fmt.Fprintf(o.stderr, "bbcsim: checkpoint %s was not loadable (%v); resuming from the previous generation %s\n",
-				o.resume, rec.Err, rec.Path)
-			if rec.Quarantined != "" {
-				fmt.Fprintf(o.stderr, "bbcsim: the corrupt snapshot was preserved at %s for inspection\n", rec.Quarantined)
-			}
-			rt.Journal.Event("checkpoint_recovered", map[string]any{
-				"path":        o.resume,
-				"loaded_from": rec.Path,
-				"quarantined": rec.Quarantined,
-				"reason":      fmt.Sprint(rec.Err),
-			})
-		}
-		var cp core.EnumCheckpoint
-		if err := env.Decode(enumCheckpointKind, fp, &cp); err != nil {
-			return runctl.StatusComplete, err
-		}
+	var cp core.EnumCheckpoint
+	from, err := rt.LoadResume(enumCheckpointKind, fp, &cp)
+	if err != nil {
+		return runctl.StatusComplete, err
+	}
+	if from != "" {
 		resume = &cp
 		fmt.Fprintf(o.stderr, "bbcsim: resuming enumeration from %s (%d profiles already checked)\n",
-			rec.Path, cp.Checked)
+			from, cp.Checked)
 	}
 
 	// save persists a snapshot atomically — with generation rotation and
 	// bounded retry for transient errors — and journals the event; scan
 	// progress is never lost to a torn write, and the previous good
 	// snapshot survives as .prev until the new one is published.
-	ckptStore := &runctl.Store{Path: o.checkpoint, Retries: 2}
 	save := func(cp *core.EnumCheckpoint, status runctl.Status) error {
-		if o.checkpoint == "" || cp == nil {
+		if cp == nil {
 			return nil
 		}
-		env, err := runctl.NewCheckpoint(enumCheckpointKind, fp, status, rt.Reg.Snapshot(), cp)
-		if err != nil {
-			return err
-		}
-		if err := ckptStore.Save(env); err != nil {
-			return err
-		}
-		rt.Journal.Checkpoint(o.checkpoint, enumCheckpointKind, map[string]any{
-			"checked": cp.Checked,
-		})
-		return nil
+		return rt.Save(enumCheckpointKind, fp, status, cp, map[string]any{"checked": cp.Checked})
 	}
 
 	var prog *obs.Progress
-	if o.progress {
+	if o.Progress {
 		prog = obs.StartProgress(o.stderr, "enumerate", ss.Size(),
 			obs.MetricReader(rt.Reg, obs.MProfilesChecked), time.Second)
 	}
@@ -141,9 +114,6 @@ func runEnumerate(ctx context.Context, o options, spec core.Spec, agg core.Aggre
 			// keeps computing; the next interval retries from scratch.
 			if err := save(cp, runctl.StatusFromContext(ctx)); err != nil {
 				fmt.Fprintf(o.stderr, "bbcsim: checkpoint save failed (scan continues): %v\n", err)
-				rt.Journal.Event("checkpoint_error", map[string]any{
-					"path": o.checkpoint, "checked": cp.Checked, "error": err.Error(),
-				})
 			}
 		},
 	}
@@ -166,9 +136,6 @@ func runEnumerate(ctx context.Context, o options, spec core.Spec, agg core.Aggre
 		if finalSaveErr = save(res.Resume, res.Status); finalSaveErr != nil {
 			finalSaveErr = fmt.Errorf("final checkpoint: %w", finalSaveErr)
 			fmt.Fprintf(o.stderr, "bbcsim: %v (results follow, but the run cannot be resumed)\n", finalSaveErr)
-			rt.Journal.Event("checkpoint_error", map[string]any{
-				"path": o.checkpoint, "checked": res.Checked, "error": finalSaveErr.Error(),
-			})
 		}
 	}
 

@@ -60,7 +60,7 @@ func TestEnumerateCLIBudgetCheckpointResume(t *testing.T) {
 
 	ckpt := t.TempDir() + "/enum.ckpt"
 	o, stdout, _ := enumOptions(5, 1)
-	o.maxProfiles, o.checkpoint = ref.Checked/2, ckpt
+	o.maxProfiles, o.Checkpoint = ref.Checked/2, ckpt
 	status, err := run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestEnumerateCLIBudgetCheckpointResume(t *testing.T) {
 
 	// Resume to completion and compare byte-identically.
 	o2, stdout2, _ := enumOptions(5, 1)
-	o2.resume = ckpt
+	o2.Resume = ckpt
 	status, err = run(context.Background(), o2)
 	if err != nil {
 		t.Fatal(err)
@@ -106,12 +106,12 @@ func TestEnumerateCLIBudgetCheckpointResume(t *testing.T) {
 func TestEnumerateCLIResumeRejectsWrongGame(t *testing.T) {
 	ckpt := t.TempDir() + "/enum.ckpt"
 	o, _, _ := enumOptions(5, 1)
-	o.maxProfiles, o.checkpoint = 10, ckpt
+	o.maxProfiles, o.Checkpoint = 10, ckpt
 	if _, err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	o2, _, _ := enumOptions(6, 1)
-	o2.resume = ckpt
+	o2.Resume = ckpt
 	if _, err := run(context.Background(), o2); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("want fingerprint mismatch error, got %v", err)
 	}
@@ -121,7 +121,7 @@ func TestEnumerateCLIResumeRejectsWrongGame(t *testing.T) {
 // partial result and the truncation exit code.
 func TestEnumerateCLIDeadline(t *testing.T) {
 	o, stdout, _ := enumOptions(7, 2) // large enough to outlive a tiny deadline
-	o.timeout = time.Nanosecond
+	o.Timeout = time.Nanosecond
 	status, err := run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestEnumerateCLIDeadline(t *testing.T) {
 func TestEnumerateCLIJournalRunStatus(t *testing.T) {
 	path := t.TempDir() + "/enum.jsonl"
 	o, _, _ := enumOptions(5, 1)
-	o.journal = path
+	o.Journal = path
 	if _, err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +214,12 @@ func TestEnumerateCLIQuotientAndScalarMatch(t *testing.T) {
 func TestEnumerateCLIQuotientCheckpointIncompatible(t *testing.T) {
 	ckpt := t.TempDir() + "/enum.ckpt"
 	o, _, _ := enumOptions(5, 1)
-	o.maxProfiles, o.checkpoint = 10, ckpt
+	o.maxProfiles, o.Checkpoint = 10, ckpt
 	if _, err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	o2, _, _ := enumOptions(5, 1)
-	o2.resume, o2.quotient = ckpt, true
+	o2.Resume, o2.quotient = ckpt, true
 	if _, err := run(context.Background(), o2); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("quotient run accepted a plain checkpoint: %v", err)
 	}
@@ -237,12 +237,12 @@ func TestEnumerateCLIQuotientResume(t *testing.T) {
 
 	ckpt := t.TempDir() + "/enum.ckpt"
 	o, _, _ := enumOptions(5, 1)
-	o.quotient, o.maxProfiles, o.checkpoint = true, ref.Checked/2, ckpt
+	o.quotient, o.maxProfiles, o.Checkpoint = true, ref.Checked/2, ckpt
 	if status, err := run(context.Background(), o); err != nil || status != runctl.StatusBudget {
 		t.Fatalf("interrupted leg: status=%v err=%v", status, err)
 	}
 	o2, stdout2, _ := enumOptions(5, 1)
-	o2.quotient, o2.resume = true, ckpt
+	o2.quotient, o2.Resume = true, ckpt
 	if status, err := run(context.Background(), o2); err != nil || status != runctl.StatusComplete {
 		t.Fatalf("resumed leg: status=%v err=%v", status, err)
 	}
@@ -261,7 +261,7 @@ func TestEnumerateCLIQuotientResume(t *testing.T) {
 // -checkpoint/-resume apply to -enumerate runs only.
 func TestWalkModeRejectsCheckpointFlags(t *testing.T) {
 	o, _, _ := testOptions(5, 1)
-	o.checkpoint = "x.ckpt"
+	o.Checkpoint = "x.ckpt"
 	if _, err := run(context.Background(), o); err == nil {
 		t.Fatal("walk mode accepted -checkpoint")
 	}

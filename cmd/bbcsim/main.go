@@ -52,7 +52,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -61,6 +60,7 @@ import (
 	"time"
 
 	"bbc/internal/analysis"
+	"bbc/internal/cli"
 	"bbc/internal/core"
 	"bbc/internal/dynamics"
 	"bbc/internal/obs"
@@ -79,10 +79,6 @@ type options struct {
 	steps      int
 	printMoves bool
 	jsonOut    bool
-	journal    string
-	trace      string
-	progress   bool
-	pprof      string
 
 	enumerate   bool
 	pin         bool
@@ -91,53 +87,40 @@ type options struct {
 	parallel    int
 	maxNE       int
 	maxProfiles uint64
-	timeout     time.Duration
-	checkpoint  string
-	resume      string
+	cli.Flags
 
 	stdout, stderr io.Writer
 }
 
 func main() {
-	var o options
-	flag.IntVar(&o.n, "n", 12, "number of players")
-	flag.IntVar(&o.k, "k", 2, "per-player link budget")
-	flag.StringVar(&o.agg, "agg", "sum", "cost aggregation: sum or max")
-	flag.StringVar(&o.sched, "sched", "round-robin", "scheduler: round-robin, max-cost-first or random")
-	flag.StringVar(&o.start, "start", "empty", "starting profile: empty or random")
-	flag.StringVar(&o.load, "load", "", "load a core.Instance JSON file (e.g. from bbcgen) instead of -n/-k/-start")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed")
-	flag.IntVar(&o.steps, "steps", 0, "max walk steps, a work budget (0 = 10·n²)")
-	flag.BoolVar(&o.printMoves, "print-moves", false, "print every move to stderr")
-	flag.BoolVar(&o.jsonOut, "json", false, "emit the result as one JSON object on stdout")
-	flag.StringVar(&o.journal, "journal", "", "write a JSONL run journal to this file")
-	flag.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON file of solver spans to this file")
-	flag.BoolVar(&o.progress, "progress", false, "print progress/ETA to stderr")
-	flag.StringVar(&o.pprof, "pprof", "", "serve pprof/expvar at this address (e.g. :6060)")
-	flag.BoolVar(&o.enumerate, "enumerate", false, "exhaustively enumerate pure Nash equilibria instead of walking")
-	flag.BoolVar(&o.pin, "pin", false, "enumerate over the soundly pinned search space (unit-length games)")
-	flag.BoolVar(&o.quotient, "quotient", false, "skip profiles equivalent under the game's symmetry group (output is unchanged)")
-	flag.BoolVar(&o.batchBFS, "batch-bfs", true, "rebuild distance oracles with bit-parallel multi-source BFS on unit-length games")
-	flag.IntVar(&o.parallel, "parallel", 0, "enumeration workers (0 = NumCPU, 1 = serial with fine-grained checkpoints)")
-	flag.IntVar(&o.maxNE, "max-ne", 0, "stop after this many equilibria (0 = all)")
-	flag.Uint64Var(&o.maxProfiles, "max-profiles", 0, "profile budget for enumeration; truncates with status budget (0 = unbounded)")
-	flag.DurationVar(&o.timeout, "timeout", 0, "wall-time budget, e.g. 30s; truncates with status deadline (0 = none)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "write a resumable snapshot to this file (enumerate mode)")
-	flag.StringVar(&o.resume, "resume", "", "resume an enumeration from this snapshot file")
-	flag.Parse()
-	o.stdout, o.stderr = os.Stdout, os.Stderr
+	os.Exit(cliMain(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	ctx, signalled, stopSignals := runctl.SignalContext(context.Background())
-	status, err := run(ctx, o)
-	stopSignals()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bbcsim: %v\n", err)
-		os.Exit(runctl.ExitCodeForError(err))
-	}
-	if sig := signalled(); sig != nil {
-		fmt.Fprintf(os.Stderr, "bbcsim: interrupted by %v; partial results flushed\n", sig)
-	}
-	os.Exit(runctl.ExitCode(status))
+// cliMain is the whole command behind a testable seam.
+func cliMain(args []string, stdout, stderr io.Writer) int {
+	o := options{stdout: stdout, stderr: stderr}
+	fs := cli.NewFlagSet("bbcsim", stderr, &o.Flags, cli.RunControl)
+	fs.IntVar(&o.n, "n", 12, "number of players")
+	fs.IntVar(&o.k, "k", 2, "per-player link budget")
+	fs.StringVar(&o.agg, "agg", "sum", "cost aggregation: sum or max")
+	fs.StringVar(&o.sched, "sched", "round-robin", "scheduler: round-robin, max-cost-first or random")
+	fs.StringVar(&o.start, "start", "empty", "starting profile: empty or random")
+	fs.StringVar(&o.load, "load", "", "load a core.Instance JSON file (e.g. from bbcgen) instead of -n/-k/-start")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.steps, "steps", 0, "max walk steps, a work budget (0 = 10·n²)")
+	fs.BoolVar(&o.printMoves, "print-moves", false, "print every move to stderr")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the result as one JSON object on stdout")
+	fs.BoolVar(&o.enumerate, "enumerate", false, "exhaustively enumerate pure Nash equilibria instead of walking")
+	fs.BoolVar(&o.pin, "pin", false, "enumerate over the soundly pinned search space (unit-length games)")
+	fs.BoolVar(&o.quotient, "quotient", false, "skip profiles equivalent under the game's symmetry group (output is unchanged)")
+	fs.BoolVar(&o.batchBFS, "batch-bfs", true, "rebuild distance oracles with bit-parallel multi-source BFS on unit-length games")
+	fs.IntVar(&o.parallel, "parallel", 0, "enumeration workers (0 = NumCPU, 1 = serial with fine-grained checkpoints)")
+	fs.IntVar(&o.maxNE, "max-ne", 0, "stop after this many equilibria (0 = all)")
+	fs.Uint64Var(&o.maxProfiles, "max-profiles", 0, "profile budget for enumeration; truncates with status budget (0 = unbounded)")
+	return cli.Main(fs, args, "", func(ctx context.Context) (runctl.Status, int, error) {
+		status, err := run(ctx, o)
+		return status, 0, err
+	})
 }
 
 // run executes one walk or enumeration according to the options and
@@ -147,11 +130,9 @@ func run(ctx context.Context, o options) (runctl.Status, error) {
 	if err != nil {
 		return runctl.StatusComplete, err
 	}
-	if !o.enumerate && (o.checkpoint != "" || o.resume != "") {
+	if !o.enumerate && (o.Checkpoint != "" || o.Resume != "") {
 		return runctl.StatusComplete, fmt.Errorf("-checkpoint/-resume apply to -enumerate runs")
 	}
-	ctx, cancelTimeout := runctl.WithDeadline(ctx, o.timeout)
-	defer cancelTimeout()
 	rng := rand.New(rand.NewSource(o.seed))
 
 	var (
@@ -186,31 +167,12 @@ func run(ctx context.Context, o options) (runctl.Status, error) {
 		}
 	}
 
-	rt, err := obs.StartCLIConfig(obs.CLIConfig{
-		Name:    "bbcsim",
-		Journal: o.journal,
-		// A resumed run continues the interrupted run's journal instead of
-		// truncating it: its records survive, sequence numbers continue.
-		AppendJournal: o.resume != "",
-		Trace:         o.trace,
-		Pprof:         o.pprof,
-		Stderr:        o.stderr,
-	})
-	if err != nil {
-		return runctl.StatusComplete, err
-	}
-	if o.enumerate {
-		status, err := runEnumerate(ctx, o, spec, agg, rt)
-		if cerr := rt.Close(); err == nil && cerr != nil {
-			err = cerr
+	return o.Start(ctx, "bbcsim", o.stderr, func(ctx context.Context, rt *cli.Run) (runctl.Status, error) {
+		if o.enumerate {
+			return runEnumerate(ctx, o, spec, agg, rt)
 		}
-		return status, err
-	}
-	status, err := runWalk(ctx, o, spec, p, agg, startName, rng, rt)
-	if cerr := rt.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	return status, err
+		return runWalk(ctx, o, spec, p, agg, startName, rng, rt.Runtime)
+	})
 }
 
 // runWalk executes the best-response walk mode.
@@ -221,7 +183,7 @@ func runWalk(ctx context.Context, o options, spec core.Spec, p core.Profile, agg
 		return runctl.StatusComplete, err
 	}
 	var prog *obs.Progress
-	if o.progress {
+	if o.Progress {
 		maxSteps := o.steps
 		if maxSteps <= 0 {
 			maxSteps = 10 * n * n

@@ -139,7 +139,7 @@ func TestJournalGolden(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/run.jsonl"
 	o, _, stderr := testOptions(8, 2)
-	o.steps, o.journal, o.progress = 0, path, true
+	o.steps, o.Journal, o.Progress = 0, path, true
 	if _, err := run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}

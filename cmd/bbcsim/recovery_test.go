@@ -32,12 +32,12 @@ func interruptTwice(t *testing.T) (string, *enumResult) {
 
 	ckpt := t.TempDir() + "/enum.ckpt"
 	o1, _, _ := enumOptions(5, 1)
-	o1.maxProfiles, o1.checkpoint = ref.Checked/3, ckpt
+	o1.maxProfiles, o1.Checkpoint = ref.Checked/3, ckpt
 	if _, err := run(context.Background(), o1); err != nil {
 		t.Fatal(err)
 	}
 	o2, _, _ := enumOptions(5, 1)
-	o2.maxProfiles, o2.resume, o2.checkpoint = 2*ref.Checked/3, ckpt, ckpt
+	o2.maxProfiles, o2.Resume, o2.Checkpoint = 2*ref.Checked/3, ckpt, ckpt
 	if _, err := run(context.Background(), o2); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEnumerateCLICorruptCheckpointFallback(t *testing.T) {
 
 	journal := t.TempDir() + "/resume.jsonl"
 	o, stdout, stderr := enumOptions(5, 1)
-	o.resume, o.journal = ckpt, journal
+	o.Resume, o.Journal = ckpt, journal
 	status, err := run(context.Background(), o)
 	if err != nil {
 		t.Fatalf("recovery resume failed: %v", err)
@@ -131,7 +131,7 @@ func TestEnumerateCLITruncatedCheckpointFallback(t *testing.T) {
 	}
 
 	o, _, stderr := enumOptions(5, 1)
-	o.resume = ckpt
+	o.Resume = ckpt
 	status, err := run(context.Background(), o)
 	if err != nil {
 		t.Fatalf("recovery resume failed: %v", err)
@@ -153,7 +153,7 @@ func TestEnumerateCLINoLoadableCheckpoint(t *testing.T) {
 	corrupt(t, ckpt+".prev")
 
 	o, _, _ := enumOptions(5, 1)
-	o.resume = ckpt
+	o.Resume = ckpt
 	_, err := run(context.Background(), o)
 	if err == nil {
 		t.Fatal("resume from doubly-corrupt checkpoint succeeded")

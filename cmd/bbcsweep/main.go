@@ -36,7 +36,6 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -44,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"bbc/internal/cli"
 	"bbc/internal/obs"
 	"bbc/internal/runctl"
 	"bbc/internal/sweep"
@@ -61,14 +61,7 @@ type options struct {
 
 	csvPath, jsonlPath string
 	deterministic      bool
-
-	timeout    time.Duration
-	checkpoint string
-	resume     string
-	journal    string
-	trace      string
-	progress   bool
-	pprof      string
+	cli.Flags
 
 	stdout, stderr io.Writer
 }
@@ -80,9 +73,8 @@ func main() {
 // cliMain is the whole command behind a testable seam: the e2e tests
 // re-exec the test binary into it to exercise real signals and kill -9.
 func cliMain(args []string, stdout, stderr io.Writer) int {
-	var o options
-	fs := flag.NewFlagSet("bbcsweep", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	o := options{stdout: stdout, stderr: stderr}
+	fs := cli.NewFlagSet("bbcsweep", stderr, &o.Flags, cli.RunControl)
 	fs.StringVar(&o.workloads, "workload", "enumerate", "comma-separated workloads: enumerate, dynamics, experiment")
 	fs.StringVar(&o.dists, "dist", "uniform", "comma-separated length distributions: uniform, nonuniform")
 	fs.StringVar(&o.aggs, "agg", "sum", "comma-separated aggregations: sum, max")
@@ -95,40 +87,10 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.csvPath, "csv", "", "write CSV rows to this file instead of stdout")
 	fs.StringVar(&o.jsonlPath, "jsonl", "", "additionally write one JSON record per tuple to this file")
 	fs.BoolVar(&o.deterministic, "deterministic", false, "mask volatile timing fields so identical grids emit byte-identical files")
-	fs.DurationVar(&o.timeout, "timeout", 0, "wall-time budget for the whole sweep, e.g. 10m (0 = none)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "persist completed tuples to this file after each tuple")
-	fs.StringVar(&o.resume, "resume", "", "replay completed tuples from this snapshot and run only the rest")
-	fs.StringVar(&o.journal, "journal", "", "write a JSONL run journal to this file")
-	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON file of solver spans to this file")
-	fs.BoolVar(&o.progress, "progress", false, "print progress/ETA to stderr")
-	fs.StringVar(&o.pprof, "pprof", "", "serve pprof/expvar at this address (e.g. :6060)")
-	if err := fs.Parse(args); err != nil {
-		return runctl.ExitUsage
-	}
-	o.stdout, o.stderr = stdout, stderr
-
-	ctx, signalled, stopSignals := runctl.SignalContext(context.Background())
-	status, failures, err := run(ctx, o)
-	stopSignals()
-	if err != nil {
-		fmt.Fprintf(stderr, "bbcsweep: %v\n", err)
-		if errors.Is(err, errUsage) {
-			return runctl.ExitUsage
-		}
-		return runctl.ExitCodeForError(err)
-	}
-	if sig := signalled(); sig != nil {
-		fmt.Fprintf(stderr, "bbcsweep: interrupted by %v; completed rows flushed\n", sig)
-	}
-	if failures > 0 {
-		fmt.Fprintf(stderr, "bbcsweep: %d tuple(s) failed\n", failures)
-		return runctl.ExitError
-	}
-	return runctl.ExitCode(status)
+	return cli.Main(fs, args, "tuple", func(ctx context.Context) (runctl.Status, int, error) {
+		return run(ctx, o)
+	})
 }
-
-// errUsage marks command-line mistakes, which exit with ExitUsage.
-var errUsage = errors.New("usage")
 
 // parseGrid turns the axis flags into a validated sweep.Config.
 func parseGrid(o options) (sweep.Config, error) {
@@ -143,13 +105,13 @@ func parseGrid(o options) (sweep.Config, error) {
 	}
 	var err error
 	if cfg.Ns, err = parseInts(o.ns); err != nil {
-		return cfg, fmt.Errorf("%w: -n: %v", errUsage, err)
+		return cfg, fmt.Errorf("%w: -n: %v", cli.ErrUsage, err)
 	}
 	if cfg.Ks, err = parseInts(o.ks); err != nil {
-		return cfg, fmt.Errorf("%w: -k: %v", errUsage, err)
+		return cfg, fmt.Errorf("%w: -k: %v", cli.ErrUsage, err)
 	}
 	if err := cfg.Validate(); err != nil {
-		return cfg, fmt.Errorf("%w: %v", errUsage, err)
+		return cfg, fmt.Errorf("%w: %v", cli.ErrUsage, err)
 	}
 	return cfg, nil
 }
@@ -186,69 +148,34 @@ func run(ctx context.Context, o options) (runctl.Status, int, error) {
 	if err != nil {
 		return runctl.StatusComplete, 0, err
 	}
-	ctx, cancelTimeout := runctl.WithDeadline(ctx, o.timeout)
-	defer cancelTimeout()
-
 	fp := cfg.Fingerprint()
-	done := map[int]*sweep.Result{}
-	var recovered *runctl.Recovery
-	if o.resume != "" {
-		st := &runctl.Store{Path: o.resume}
-		env, rec, err := st.Load()
-		if err != nil {
-			return runctl.StatusComplete, 0, err
-		}
-		if rec.Fallback {
-			fmt.Fprintf(o.stderr, "bbcsweep: checkpoint %s was not loadable (%v); resuming from the previous generation %s\n",
-				o.resume, rec.Err, rec.Path)
-			if rec.Quarantined != "" {
-				fmt.Fprintf(o.stderr, "bbcsweep: the corrupt snapshot was preserved at %s for inspection\n", rec.Quarantined)
-			}
-			recovered = rec
-		}
+	failures := 0
+	status, err := o.Start(ctx, "bbcsweep", o.stderr, func(ctx context.Context, rt *cli.Run) (runctl.Status, error) {
 		var cp sweep.Checkpoint
-		if err := env.Decode(sweep.CheckpointKind, fp, &cp); err != nil {
-			return runctl.StatusComplete, 0, err
+		from, err := rt.LoadResume(sweep.CheckpointKind, fp, &cp)
+		if err != nil {
+			return runctl.StatusComplete, err
 		}
-		if cp.Results != nil {
-			done = cp.Results
+		done := cp.Results
+		if done == nil {
+			done = map[int]*sweep.Result{}
 		}
-		fmt.Fprintf(o.stderr, "bbcsweep: resuming grid from %s (%d of %d tuples already done)\n",
-			rec.Path, len(done), len(cfg.Tuples()))
-	}
-
-	rt, err := obs.StartCLIConfig(obs.CLIConfig{
-		Name:    "bbcsweep",
-		Journal: o.journal,
-		// Resumed sweeps append to the interrupted run's journal.
-		AppendJournal: o.resume != "",
-		Trace:         o.trace,
-		Pprof:         o.pprof,
-		Stderr:        o.stderr,
+		if from != "" {
+			fmt.Fprintf(o.stderr, "bbcsweep: resuming grid from %s (%d of %d tuples already done)\n",
+				from, len(done), len(cfg.Tuples()))
+		}
+		var status runctl.Status
+		status, failures, err = runSweep(ctx, o, cfg, fp, done, rt)
+		return status, err
 	})
-	if err != nil {
-		return runctl.StatusComplete, 0, err
-	}
-	if recovered != nil {
-		rt.Journal.Event("checkpoint_recovered", map[string]any{
-			"path":        o.resume,
-			"loaded_from": recovered.Path,
-			"quarantined": recovered.Quarantined,
-			"reason":      fmt.Sprint(recovered.Err),
-		})
-	}
-	status, failures, runErr := runSweep(ctx, o, cfg, fp, done, rt)
-	if cerr := rt.Close(); runErr == nil && cerr != nil {
-		runErr = cerr
-	}
-	return status, failures, runErr
+	return status, failures, err
 }
 
 // runSweep drives the grid: output sinks are (re)created from the start
 // — resume rewrites, never appends, so the merged files are identical to
 // an uninterrupted run's — and every fresh tuple is checkpointed before
 // the next starts.
-func runSweep(ctx context.Context, o options, cfg sweep.Config, fp string, done map[int]*sweep.Result, rt *obs.Runtime) (runctl.Status, int, error) {
+func runSweep(ctx context.Context, o options, cfg sweep.Config, fp string, done map[int]*sweep.Result, rt *cli.Run) (runctl.Status, int, error) {
 	var csv *obs.CSVWriter
 	if o.csvPath != "" {
 		f, err := obs.CreateCSVFile(nil, o.csvPath, sweep.Columns...)
@@ -273,36 +200,22 @@ func runSweep(ctx context.Context, o options, cfg sweep.Config, fp string, done 
 	tuples := cfg.Tuples()
 	emitted := 0
 	var prog *obs.Progress
-	if o.progress {
+	if o.Progress {
 		progRead := func() uint64 { return uint64(emitted) }
 		prog = obs.StartProgress(o.stderr, "tuples", uint64(len(tuples)), progRead, time.Second)
 	}
 	defer prog.Stop()
 
-	ckptStore := &runctl.Store{Path: o.checkpoint, Retries: 2}
-	// save persists the completed-tuple set with rotation and bounded
-	// retry. A failure degrades gracefully: the sweep keeps running on
-	// in-memory state (losing resumability, not rows), the failure is
-	// journaled, and the next completed tuple retries from scratch.
+	// save persists the completed-tuple set. A failure degrades
+	// gracefully: the sweep keeps running on in-memory state (losing
+	// resumability, not rows), and the next completed tuple retries from
+	// scratch.
 	save := func(done map[int]*sweep.Result) {
-		if o.checkpoint == "" {
-			return
-		}
-		env, err := runctl.NewCheckpoint(sweep.CheckpointKind, fp,
-			runctl.StatusFromContext(ctx), rt.Reg.Snapshot(), &sweep.Checkpoint{Results: done})
-		if err == nil {
-			err = ckptStore.Save(env)
-		}
+		err := rt.Save(sweep.CheckpointKind, fp, runctl.StatusFromContext(ctx),
+			&sweep.Checkpoint{Results: done}, map[string]any{"completed": len(done)})
 		if err != nil {
 			fmt.Fprintf(o.stderr, "bbcsweep: checkpoint save failed (sweep continues): %v\n", err)
-			rt.Journal.Event("checkpoint_error", map[string]any{
-				"path": o.checkpoint, "completed": len(done), "error": err.Error(),
-			})
-			return
 		}
-		rt.Journal.Checkpoint(o.checkpoint, sweep.CheckpointKind, map[string]any{
-			"completed": len(done),
-		})
 	}
 
 	sum, err := sweep.Run(cfg, sweep.RunConfig{
@@ -323,7 +236,7 @@ func runSweep(ctx context.Context, o options, cfg sweep.Config, fp string, done 
 		},
 	})
 	if err != nil {
-		return runctl.StatusComplete, 0, fmt.Errorf("%w: %v", errUsage, err)
+		return runctl.StatusComplete, 0, fmt.Errorf("%w: %v", cli.ErrUsage, err)
 	}
 	rt.Journal.RunStatus(sum.Status.String(), sum.Status.Complete(), map[string]any{
 		"completed": sum.Completed,

@@ -22,64 +22,59 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"bbc/internal/cli"
 	"bbc/internal/construct"
-	"bbc/internal/obs"
 	"bbc/internal/runctl"
 )
 
 func main() {
+	os.Exit(cliMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cliMain is the whole command behind a testable seam.
+func cliMain(args []string, stdout, stderr io.Writer) int {
+	var f cli.Flags
+	fs := cli.NewFlagSet("bbcviz", stderr, &f, cli.Obs)
 	var (
-		what      = flag.String("what", "willows", "construction: willows, gadget, figure4, maxpoa or ringpath")
-		k         = flag.Int("k", 2, "budget / tree count (willows, maxpoa)")
-		h         = flag.Int("h", 2, "tree height (willows)")
-		l         = flag.Int("l", 1, "tail length (willows, maxpoa)")
-		ring      = flag.Int("ring", 8, "ring size (ringpath)")
-		path      = flag.Int("path", 4, "path size (ringpath)")
-		journal   = flag.String("journal", "", "write a JSONL run journal to this file")
-		trace     = flag.String("trace", "", "write a Chrome trace-event JSON file of solver spans to this file")
-		progress  = flag.Bool("progress", false, "print a completion line to stderr")
-		pprofAddr = flag.String("pprof", "", "serve pprof/expvar at this address (e.g. :6060)")
+		what = fs.String("what", "willows", "construction: willows, gadget, figure4, maxpoa or ringpath")
+		k    = fs.Int("k", 2, "budget / tree count (willows, maxpoa)")
+		h    = fs.Int("h", 2, "tree height (willows)")
+		l    = fs.Int("l", 1, "tail length (willows, maxpoa)")
+		ring = fs.Int("ring", 8, "ring size (ringpath)")
+		path = fs.Int("path", 4, "path size (ringpath)")
 	)
-	flag.Parse()
-	ctx, signalled, stopSignals := runctl.SignalContext(context.Background())
-	defer stopSignals()
-	rt, err := obs.StartCLIConfig(obs.CLIConfig{
-		Name: "bbcviz", Journal: *journal, Trace: *trace, Pprof: *pprofAddr, Stderr: os.Stderr,
+	return cli.Main(fs, args, "", func(ctx context.Context) (runctl.Status, int, error) {
+		status, err := f.Start(ctx, "bbcviz", stderr, func(ctx context.Context, rt *cli.Run) (runctl.Status, error) {
+			start := time.Now()
+			dot, err := render(*what, *k, *h, *l, *ring, *path)
+			if err != nil {
+				return runctl.StatusComplete, err
+			}
+			rt.Journal.Event("render", map[string]any{
+				"what": *what, "bytes": len(dot),
+				"wall_ms": float64(time.Since(start).Microseconds()) / 1000,
+			})
+			status := runctl.StatusFromContext(ctx)
+			rt.Journal.RunStatus(status.String(), status.Complete(), map[string]any{"what": *what})
+			if !status.Complete() {
+				fmt.Fprintln(stderr, "bbcviz: interrupted before output; no document written")
+				return status, nil
+			}
+			if _, err := io.WriteString(stdout, dot); err != nil {
+				return status, err
+			}
+			if f.Progress {
+				fmt.Fprintf(stderr, "bbc: render %s done in %s\n", *what, time.Since(start).Round(time.Millisecond))
+			}
+			return status, nil
+		})
+		return status, 0, err
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bbcviz: %v\n", err)
-		os.Exit(runctl.ExitCodeForError(err))
-	}
-	start := time.Now()
-	dot, err := render(*what, *k, *h, *l, *ring, *path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bbcviz: %v\n", err)
-		os.Exit(runctl.ExitCodeForError(err))
-	}
-	rt.Journal.Event("render", map[string]any{
-		"what": *what, "bytes": len(dot),
-		"wall_ms": float64(time.Since(start).Microseconds()) / 1000,
-	})
-	status := runctl.StatusFromContext(ctx)
-	rt.Journal.RunStatus(status.String(), status.Complete(), map[string]any{"what": *what})
-	if !status.Complete() {
-		rt.Close()
-		fmt.Fprintf(os.Stderr, "bbcviz: interrupted by %v before output; no document written\n", signalled())
-		os.Exit(runctl.ExitCode(status))
-	}
-	fmt.Print(dot)
-	if *progress {
-		fmt.Fprintf(os.Stderr, "bbc: render %s done in %s\n", *what, time.Since(start).Round(time.Millisecond))
-	}
-	if err := rt.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "bbcviz: %v\n", err)
-		os.Exit(runctl.ExitCodeForError(err))
-	}
 }
 
 func render(what string, k, h, l, ring, path int) (string, error) {

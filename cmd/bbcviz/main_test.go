@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"bbc/internal/runctl"
 )
 
 func TestRenderAllConstructions(t *testing.T) {
@@ -45,5 +51,33 @@ func TestRenderErrors(t *testing.T) {
 	}
 	if _, err := render("ringpath", 2, 0, 1, 1, 0); err == nil {
 		t.Fatal("expected error for invalid ringpath params")
+	}
+}
+
+// TestCLIFailureStillWritesTrace: a failing run exits 1 and still
+// flushes its trace and journal.
+func TestCLIFailureStillWritesTrace(t *testing.T) {
+	dir := t.TempDir()
+	trace, journal := filepath.Join(dir, "t.json"), filepath.Join(dir, "j.jsonl")
+	var stdout, stderr bytes.Buffer
+	code := cliMain([]string{"-what", "bogus", "-trace", trace, "-journal", journal}, &stdout, &stderr)
+	if code != runctl.ExitError {
+		t.Fatalf("exit %d, want %d (stderr %q)", code, runctl.ExitError, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `bbcviz: unknown construction "bogus"`) {
+		t.Errorf("stderr lacks the error: %q", stderr.String())
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatalf("no trace file after a failed run: %v", err)
+	}
+	if !json.Valid(data) {
+		t.Fatalf("trace file is not JSON: %s", data)
+	}
+	if _, err := os.Stat(journal); err != nil {
+		t.Errorf("no journal after a failed run: %v", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("failed run wrote to stdout: %q", stdout.String())
 	}
 }

@@ -165,6 +165,17 @@ type Result struct {
 // cancelled/deadline), or on a fatal error (a shard exhausted its
 // attempts, or unusable configuration).
 func Run(ctx context.Context, cfg Config) (*Result, error) {
+	s, err := Plan(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(ctx)
+}
+
+// Plan validates cfg and fixes the scan's shard split — reloading the
+// persisted lease table when cfg.Resume is set — without dispatching
+// any shard; Scan.Run does that.
+func Plan(cfg Config) (*Scan, error) {
 	if cfg.Spec == nil {
 		return nil, errors.New("fleet: a Spec is required")
 	}
@@ -175,9 +186,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	case "", "sum", "max":
 	default:
 		return nil, fmt.Errorf("fleet: unknown agg %q (want sum or max)", cfg.Agg)
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	reg := cfg.Reg
 	if reg == nil {
@@ -211,11 +219,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// resume, its shard indices would mean different ranges.
 	fp := fmt.Sprintf("%s+fleet[%d]", core.EnumFingerprint(cfg.Spec, agg, ss), len(plan))
 
-	c := &coordinator{
-		cfg:   cfg,
-		reg:   reg,
-		game:  game,
-		table: newTable(plan, cfg.leaseTTL(), cfg.maxAttempts(), reg, cfg.Journal),
+	c := &Scan{
+		cfg:       cfg,
+		reg:       reg,
+		game:      game,
+		table:     newTable(plan, cfg.leaseTTL(), cfg.maxAttempts(), reg, cfg.Journal),
+		fp:        fp,
+		spaceName: spaceName,
+		ss:        ss,
 	}
 	if cfg.CheckpointPath != "" {
 		c.store = &runctl.Store{Path: cfg.CheckpointPath, FS: cfg.FS, Retries: 2}
@@ -225,22 +236,27 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	c.fp = fp
-	return c.run(ctx, spaceName, ss)
+	return c, nil
 }
 
-// coordinator owns one fleet run.
-type coordinator struct {
-	cfg   Config
-	reg   *obs.Registry
-	game  json.RawMessage
-	table *table
-	store *runctl.Store
-	fp    string
+// Scan is one planned fleet run: Plan fixes its shards, Run leases and
+// merges them.
+type Scan struct {
+	cfg       Config
+	reg       *obs.Registry
+	game      json.RawMessage
+	table     *table
+	store     *runctl.Store
+	fp        string
+	spaceName string
+	ss        *core.SearchSpace
 }
+
+// Shards is how many shard leases the scan is split into.
+func (c *Scan) Shards() int { return len(c.table.shards) }
 
 // resume loads the lease-table checkpoint and replays merged shards.
-func (c *coordinator) resume(fp string) error {
+func (c *Scan) resume(fp string) error {
 	env, rec, err := c.store.TryLoad()
 	if err != nil {
 		return fmt.Errorf("fleet: resume: %w", err)
@@ -265,7 +281,7 @@ func (c *coordinator) resume(fp string) error {
 // checkpoint persists the lease table (best-effort: a failed save is
 // journaled, the scan itself continues — durability degrades, progress
 // does not stop).
-func (c *coordinator) checkpoint(status runctl.Status) {
+func (c *Scan) checkpoint(status runctl.Status) {
 	if c.store == nil {
 		return
 	}
@@ -283,9 +299,12 @@ func (c *coordinator) checkpoint(status runctl.Status) {
 	})
 }
 
-// run drives the agents and the lease clock until the scan completes,
+// Run drives the agents and the lease clock until the scan completes,
 // the context ends it, or a shard exhausts its attempts.
-func (c *coordinator) run(ctx context.Context, spaceName string, ss *core.SearchSpace) (*Result, error) {
+func (c *Scan) Run(ctx context.Context) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -336,9 +355,9 @@ loop:
 	ne, done := c.table.merged(status)
 	result := &Result{
 		NE:         ne,
-		Space:      spaceName,
-		SpaceSize:  ss.Size(),
-		Pivot:      ss.Pivot(),
+		Space:      c.spaceName,
+		SpaceSize:  c.ss.Size(),
+		Pivot:      c.ss.Pivot(),
 		Shards:     len(c.table.shards),
 		ShardsDone: done,
 	}
@@ -364,7 +383,7 @@ loop:
 // report, repeat. Failures release the lease and back off before the
 // next acquire, so a dead worker's agent idles cheaply while surviving
 // workers take the re-leased shards.
-func (c *coordinator) agentLoop(ctx context.Context, base string) {
+func (c *Scan) agentLoop(ctx context.Context, base string) {
 	client := &Client{
 		Base:     base,
 		HTTP:     c.cfg.HTTP,
@@ -444,7 +463,7 @@ func wrapBackpressure(err error) error {
 
 // runShard executes one lease end to end against one worker: readiness
 // gate, submit, poll-with-heartbeat, fetch result, merge.
-func (c *coordinator) runShard(ctx context.Context, client *Client, sh *shardLease, base string) error {
+func (c *Scan) runShard(ctx context.Context, client *Client, sh *shardLease, base string) error {
 	sp := obs.Trace().StartSpan("fleet.shard")
 	defer sp.End()
 
@@ -515,7 +534,7 @@ func (c *coordinator) runShard(ctx context.Context, client *Client, sh *shardLea
 // checkpoints) into the coordinator journal over SSE; the stream
 // reconnects with Last-Event-ID on transport errors. Best-effort: tail
 // failures never fail the shard.
-func (c *coordinator) tail(ctx context.Context, client *Client, jobID string, shard int) func() {
+func (c *Scan) tail(ctx context.Context, client *Client, jobID string, shard int) func() {
 	tailCtx, cancel := context.WithCancel(ctx)
 	idle := make(chan struct{})
 	go func() {

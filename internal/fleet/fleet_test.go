@@ -376,3 +376,29 @@ func TestFleetCancelReturnsPartial(t *testing.T) {
 		t.Errorf("interrupted run must leave a lease checkpoint: %v", err)
 	}
 }
+
+// TestPlanShardsClampedToPivot: the shard count a CLI shows as its
+// progress total is the plan Run executes, so a space with fewer pivot
+// partitions than 4×workers reports the clamped count, not 4×workers.
+func TestPlanShardsClampedToPivot(t *testing.T) {
+	spec, err := core.NewUniform(6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := core.FullSpace(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := len(ss.PerNode[ss.Pivot()])
+	workers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
+	if parts >= 4*len(workers) {
+		t.Fatalf("test space has %d pivot partitions; want fewer than %d", parts, 4*len(workers))
+	}
+	s, err := Plan(Config{Spec: spec, Workers: workers, Reg: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Shards(); got != parts {
+		t.Fatalf("Plan().Shards() = %d, want the %d pivot partitions", got, parts)
+	}
+}

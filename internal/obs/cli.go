@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-
-	"bbc/internal/faultfs"
 )
 
 // Runtime bundles the observability facilities a CLI enabled: the
@@ -40,36 +38,25 @@ type CLIConfig struct {
 	// writes a Chrome trace-event JSON file (chrome://tracing /
 	// Perfetto-loadable) to this path on Close.
 	Trace string
-	// TraceCap bounds the tracer's span ring (0 = DefaultTraceCap). When
-	// the ring fills, the oldest spans are dropped and counted.
-	TraceCap int
 	// Pprof, when non-empty, serves the pprof/expvar debug server at
 	// this address.
 	Pprof string
 	// Stderr receives startup diagnostics.
 	Stderr io.Writer
-	// FS is the filesystem for journal I/O (nil = real OS).
-	FS faultfs.FS
 }
 
-// StartCLI installs a fresh global registry and wires the standard
-// observability flags shared by the bbc commands: journalPath ("" = off)
-// opens a JSONL run journal (truncating), pprofAddr ("" = off) starts
-// the pprof/expvar debug server and announces its address on stderr. The
-// caller owns Close, which flushes the journal and surfaces its first
-// write error.
-func StartCLI(name, journalPath, pprofAddr string, stderr io.Writer) (*Runtime, error) {
-	return StartCLIConfig(CLIConfig{Name: name, Journal: journalPath, Pprof: pprofAddr, Stderr: stderr})
-}
-
-// StartCLIConfig is StartCLI with the full option set (journal append
-// mode for resumed runs, span tracing, fault-injectable filesystem).
+// StartCLIConfig installs a fresh global registry and starts the
+// observability facilities c enables: the run journal (truncating, or
+// appending for resumed runs), the span tracer, and the pprof/expvar
+// debug server, whose address is announced on stderr. The caller owns
+// Close, which writes the trace and flushes the journal, surfacing the
+// first error.
 func StartCLIConfig(c CLIConfig) (*Runtime, error) {
 	rt := &Runtime{Reg: NewRegistry(), name: c.Name, stderr: c.Stderr}
 	SetGlobal(rt.Reg)
 	if c.Journal != "" {
 		j, sal, err := OpenJournalConfig(JournalConfig{
-			FS: c.FS, Path: c.Journal, Reg: rt.Reg,
+			Path: c.Journal, Reg: rt.Reg,
 			MaxBytes: c.JournalMaxBytes, Append: c.AppendJournal,
 		})
 		if err != nil {
@@ -82,7 +69,7 @@ func StartCLIConfig(c CLIConfig) (*Runtime, error) {
 		rt.Journal = j
 	}
 	if c.Trace != "" {
-		rt.Tracer = NewTracer(c.TraceCap)
+		rt.Tracer = NewTracer(0)
 		rt.tracePath = c.Trace
 		SetTracer(rt.Tracer)
 	}
